@@ -435,13 +435,26 @@ void PerfTool::discover_comm(std::int64_t handle, std::int64_t tag) {
     // Reserved high tags are MPI-internal traffic; they are not user
     // synchronization objects.
     const bool user_tag = tag >= 0 && tag < (1 << 28);
+    const auto c = static_cast<simmpi::Comm>(handle);
+    const std::pair<simmpi::Comm, int> ct{c, static_cast<int>(tag)};
+    {
+        std::lock_guard lk(mu_);
+        if (known_comms_.count(c) != 0 && (!user_tag || known_tags_.count(ct) != 0))
+            return;
+    }
+    // Something is new.  discover_mu_ spans the insert and the posts, so
+    // a communicator's report is always queued before its tags': a rank
+    // that finds the communicator known but its tag new waits here until
+    // the rank that inserted the communicator has posted it.  (Without
+    // it the tag report could overtake and the frontend would reject a
+    // resource whose parent is missing.)
+    std::lock_guard dk(discover_mu_);
     bool new_comm = false;
     bool new_tag = false;
     {
         std::lock_guard lk(mu_);
-        const auto c = static_cast<simmpi::Comm>(handle);
         new_comm = known_comms_.insert(c).second;
-        if (user_tag) new_tag = known_tags_.insert({c, static_cast<int>(tag)}).second;
+        if (user_tag) new_tag = known_tags_.insert(ct).second;
     }
     const std::string cpath = "/SyncObject/Message/comm_" + std::to_string(handle);
     if (new_comm) {

@@ -187,6 +187,8 @@ private:
     std::int64_t next_win_uid_ = 0;
     std::set<simmpi::Comm> known_comms_;
     std::set<std::pair<simmpi::Comm, int>> known_tags_;
+    /// Serializes discover_comm's insert-and-post (taken before mu_).
+    std::mutex discover_mu_;
     std::set<int> known_procs_;
     SpawnSupportStats spawn_stats_;
     PcCounters pc_counters_;

@@ -38,7 +38,10 @@ public:
     virtual std::int64_t comm_unique_id(std::int64_t comm_handle) const = 0;
 };
 
-/// Receives primary-variable deltas: (wall-clock now, delta).
+/// Receives primary-variable deltas: (wall-clock now, delta).  The sink
+/// is called concurrently from every thread that runs an instrumented
+/// point, and the evaluator does not serialize those calls: a sink that
+/// touches shared state must synchronize it itself.
 using MetricSink = std::function<void(double now, double delta)>;
 
 /// Native gate evaluated before metric code runs; the tool uses it for

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -72,6 +71,8 @@ public:
     /// lists can outlive a racing abandon without dangling.
     const std::shared_ptr<WaitToken>& token() const { return token_; }
 
+    Scheduler* scheduler() const { return sched_; }
+
     /// Optional sink that receives this fiber's CPU-time slices
     /// (nanoseconds), accumulated at every switch-out.
     void set_cpu_sink(std::atomic<std::int64_t>* sink) { cpu_sink_ = sink; }
@@ -109,9 +110,14 @@ private:
     std::size_t stack_total_ = 0;
     std::shared_ptr<WaitToken> token_;
 
+    /// The current park's deadline in steady_clock nanoseconds (int64
+    /// max: no timer).  Stored by park_until before it announces
+    /// Parking; read lock-free by the deadline sweeper for any fiber it
+    /// finds Parked.
+    std::atomic<std::int64_t> park_deadline_ns_{0};
+
     // Scheduler-side per-slice state (touched only by the worker that
-    // currently runs the fiber, or under the scheduler's park lock).
-    std::chrono::steady_clock::time_point park_deadline_{};
+    // currently runs the fiber).
     std::uint32_t dispatch_count_ = 0;  ///< maybe_yield() stride counter
     std::int64_t slice_cpu_start_ = 0;
     std::atomic<std::int64_t>* cpu_sink_ = nullptr;

@@ -599,7 +599,7 @@ int Rank::recv_body(void* buf, int count, Datatype dt, int src, int tag, Comm c,
             // Wake every parked sender: they need different amounts of
             // room, so the frontmost waiter alone may not be the one
             // that fits.
-            for (const auto& t : wake_space) t->unpark();
+            sched::unpark_all(wake_space);
             if (env.delivered) env.delivered->signal();
             if (!internal_traffic)
                 world_.trace_call_payload(trace::EventKind::Pt2ptRecv,
@@ -771,7 +771,7 @@ bool Rank::internal_recv(void* buf, int bytes, int src_cr, int tag, CommData& c)
             std::vector<std::shared_ptr<sched::WaitToken>> wake_space;
             wake_space.swap(mb.space_tokens);
             lk.unlock();
-            for (const auto& t : wake_space) t->unpark();
+            sched::unpark_all(wake_space);
             return true;
         }
         // Already-queued traffic was drained above; once the comm is
@@ -811,7 +811,7 @@ bool Rank::barrier_internal(CommData& c) {
         std::vector<std::shared_ptr<sched::WaitToken>> waiters;
         waiters.swap(c.bar_waiters);
         lk.unlock();
-        for (const auto& t : waiters) t->unpark();
+        sched::unpark_all(waiters);
         return true;
     }
     const auto deadline = wait_deadline();
@@ -1054,7 +1054,7 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
         std::vector<std::shared_ptr<sched::WaitToken>> waiters;
         waiters.swap(cell.waiters);
         lk.unlock();
-        for (const auto& t : waiters) t->unpark();
+        sched::unpark_all(waiters);
     };
     while (cell.arrived < k && !cell.failed) {
         cell.leader_waiter = tok;

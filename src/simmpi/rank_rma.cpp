@@ -1078,7 +1078,7 @@ int Rank::MPI_Intercomm_merge(Comm intercomm, bool high, Comm* intracomm) {
             std::vector<std::shared_ptr<sched::WaitToken>> waiters;
             waiters.swap(cd.bar_waiters);
             lk.unlock();
-            for (const auto& t : waiters) t->unpark();
+            sched::unpark_all(waiters);
             return true;
         }
         const auto deadline = wait_deadline();

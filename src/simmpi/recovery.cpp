@@ -65,7 +65,7 @@ int Rank::ft_rendezvous(Comm c, CommData& cd, FtRendezvous& rv,
         waiters.swap(rv.waiters);
         const int rc = read_result();
         lk.unlock();
-        for (const auto& t : waiters) t->unpark();
+        sched::unpark_all(waiters);
         return rc;
     };
 

@@ -106,6 +106,31 @@ void World::register_pvars() {
     pvars_.add_counter(
         "faults.epitaphs", [this] { return epitaph_count(); }, "deaths",
         "epitaphs recorded (rank deaths)");
+
+    // Scheduler plane (fiber engine only; per-worker counters, summed).
+    if (sched_) {
+        const sched::Scheduler* s = sched_.get();
+        pvars_.add_counter(
+            "sched.parks", [s] { return s->stats().parks; }, "events",
+            "fiber parks (switch-outs onto a wait token)");
+        pvars_.add_counter(
+            "sched.batch_wakes", [s] { return s->stats().batch_wakes; }, "events",
+            "fibers requeued by unpark_all batches");
+        pvars_.add_counter(
+            "sched.steals", [s] { return s->stats().steals; }, "events",
+            "fibers taken from a peer worker's run queue");
+        pvars_.add_counter(
+            "sched.idle_sleeps", [s] { return s->stats().idle_sleeps; }, "events",
+            "idle waits entered by workers");
+        pvars_.add_counter(
+            "sched.sweeps", [s] { return s->stats().sweeps; }, "events",
+            "deadline-sweeper scans of the fiber list");
+        pvars_.add_counter(
+            "sched.idle_backstop_with_work",
+            [s] { return s->stats().idle_backstop_with_work; }, "events",
+            "20 ms idle waits that expired while a run queue held work "
+            "(a missed notify, or an oversubscribed host)");
+    }
 }
 
 World::MailboxStats World::mailbox_stats() const {
@@ -433,7 +458,7 @@ void World::release_start_gate() {
         waiters = std::move(start_waiters_);
         start_waiters_.clear();
     }
-    for (auto& w : waiters) w->unpark();
+    sched::unpark_all(waiters);
 }
 
 void World::join_all() {

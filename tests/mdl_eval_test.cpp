@@ -3,6 +3,7 @@
 // nesting, gates, and uninstall.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 
 #include "instr/registry.hpp"
@@ -25,6 +26,9 @@ struct EvalFixture {
     instr::FuncId fa, fb;
     std::shared_ptr<FakeServices> services = std::make_shared<FakeServices>();
     MdlFile file;
+    // The sink runs on every thread that hits an instrumented point
+    // (MetricSink's contract), so it serializes its own appends.
+    std::mutex sunk_mu;
     std::vector<std::pair<double, double>> sunk;  // (now, delta)
 
     EvalFixture() {
@@ -42,10 +46,14 @@ struct EvalFixture {
     }
 
     MetricSink sink() {
-        return [this](double now, double delta) { sunk.emplace_back(now, delta); };
+        return [this](double now, double delta) {
+            std::lock_guard lk(sunk_mu);
+            sunk.emplace_back(now, delta);
+        };
     }
 
-    double total() const {
+    double total() {
+        std::lock_guard lk(sunk_mu);
         double t = 0;
         for (const auto& [n, d] : sunk) t += d;
         return t;

@@ -1,17 +1,24 @@
 // Fiber scheduler unit tests (DESIGN.md section 12): the park/unpark
-// state machine, deadline sweeping, broadcast wakeups, fiber-aware
-// sleep, and the thread-mode WaitToken fallback -- exercised directly
-// against sched::Scheduler, below the World/Rank layers that normally
-// drive it.  Named Sched.* so the TSAN job's -R regex picks them up.
+// state machine, deadline sweeping, batch and broadcast wakeups,
+// fiber-aware sleep, the thread-mode WaitToken fallback and the sched.*
+// pvars -- exercised directly against sched::Scheduler, below the
+// World/Rank layers that normally drive it (the pvar test goes through
+// a World).  Named Sched.* so the TSAN job's -R regex picks them up.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "simmpi/fiber.hpp"
+#include "simmpi/launcher.hpp"
+#include "simmpi/rank.hpp"
 #include "simmpi/sched.hpp"
+#include "simmpi/world.hpp"
 #include "util/clock.hpp"
 
 namespace m2p::simmpi::sched {
@@ -345,6 +352,223 @@ TEST(Sched, WorkIsStolenAcrossWorkers) {
             kStack);
     wait_for([&] { return done.load() == kFibers; });
     EXPECT_EQ(s.worker_count(), 4u);
+}
+
+TEST(Sched, StaggeredDeadlineParksExpireOnTimeUnderChurn) {
+    // 256 fibers on 4 workers park with staggered 1-50 ms deadlines that
+    // nobody unparks, three times in a row, so re-parks land while the
+    // sweeper is still scanning or waking its last batch.  Meanwhile
+    // ping-pong pairs churn park/unpark: deadline-less, and every other
+    // round with a far deadline so those parks poke the sweeper too.
+    // Every timed park must end no earlier than its deadline (only the
+    // sweeper can end it) and within a generous bound after it.
+    Scheduler s(4);
+    constexpr int kTimed = 256;
+    constexpr int kRepeats = 3;
+    constexpr int kPairs = 8;
+    constexpr auto kLateBound = 2s;
+    const auto& main_tok = current_wait_token();
+
+    struct Pair {
+        std::atomic<int> turn{0};
+        std::shared_ptr<WaitToken> tok[2];
+    };
+    std::vector<std::unique_ptr<Pair>> pairs;
+    std::vector<std::shared_ptr<WaitToken>> churn_toks;
+    std::atomic<bool> tokens_ready{false}, stop{false};
+    std::atomic<int> churn_done{0};
+    std::atomic<std::uint64_t> churn_rounds{0};
+    for (int p = 0; p < kPairs; ++p) {
+        pairs.push_back(std::make_unique<Pair>());
+        Pair* pr = pairs.back().get();
+        for (int side = 0; side < 2; ++side) {
+            Fiber* f = s.spawn(
+                [&, pr, side] {
+                    const auto& me = current_wait_token();
+                    while (!tokens_ready.load(std::memory_order_acquire))
+                        me->park_until(clk::now() + 1ms);
+                    for (std::uint64_t round = 0;; ++round) {
+                        while (pr->turn.load(std::memory_order_acquire) != side) {
+                            if (stop.load()) {
+                                churn_done.fetch_add(1);
+                                main_tok->unpark();
+                                return;
+                            }
+                            me->park_until(round % 2 == 0 ? clk::time_point::max()
+                                                          : clk::now() + 10s);
+                        }
+                        churn_rounds.fetch_add(1, std::memory_order_relaxed);
+                        pr->turn.store(1 - side, std::memory_order_release);
+                        pr->tok[1 - side]->unpark();
+                    }
+                },
+                kStack);
+            pr->tok[side] = f->token();
+            churn_toks.push_back(f->token());
+        }
+    }
+    tokens_ready.store(true, std::memory_order_release);
+
+    std::atomic<int> timed_done{0}, early{0}, late{0};
+    std::atomic<std::int64_t> worst_late_us{0};
+    for (int i = 0; i < kTimed; ++i)
+        s.spawn(
+            [&, i] {
+                for (int r = 0; r < kRepeats; ++r) {
+                    const auto deadline =
+                        clk::now() + std::chrono::milliseconds(1 + (i * 7 + r * 13) % 50);
+                    current_wait_token()->park_until(deadline);
+                    const auto now = clk::now();
+                    if (now < deadline) {
+                        early.fetch_add(1);
+                        continue;
+                    }
+                    if (now - deadline > kLateBound) late.fetch_add(1);
+                    const std::int64_t us =
+                        std::chrono::duration_cast<std::chrono::microseconds>(now - deadline)
+                            .count();
+                    std::int64_t seen = worst_late_us.load();
+                    while (us > seen && !worst_late_us.compare_exchange_weak(seen, us)) {
+                    }
+                }
+                timed_done.fetch_add(1);
+                main_tok->unpark();
+            },
+            kStack);
+
+    wait_for([&] { return timed_done.load() == kTimed; });
+    EXPECT_EQ(early.load(), 0) << "a deadline park returned before its deadline";
+    EXPECT_EQ(late.load(), 0) << "worst lateness " << worst_late_us.load() << " us";
+    EXPECT_GT(churn_rounds.load(), 0u) << "the churn never ran alongside the parks";
+    stop.store(true);
+    unpark_all(churn_toks);
+    wait_for([&] { return churn_done.load() == 2 * kPairs; });
+}
+
+TEST(Sched, ReparksRacingASweepAreNeverMissed) {
+    // Fibers in lockstep park with 1 ms deadlines that nobody unparks,
+    // so each sweep finds them all due at once and has no deadline left
+    // to sleep to, and their re-parks land while the sweeper is still
+    // waking the batch, before it publishes its next horizon.  A
+    // re-park the horizon handshake missed would sleep forever.
+    Scheduler s(4);
+    constexpr int kFibers = 64;
+    constexpr int kRounds = 50;
+    std::atomic<int> done{0}, late{0};
+    const auto& main_tok = current_wait_token();
+    for (int i = 0; i < kFibers; ++i)
+        s.spawn(
+            [&] {
+                for (int r = 0; r < kRounds; ++r) {
+                    const auto deadline = clk::now() + 1ms;
+                    current_wait_token()->park_until(deadline);
+                    if (clk::now() - deadline > 2s) late.fetch_add(1);
+                }
+                done.fetch_add(1);
+                main_tok->unpark();
+            },
+            kStack);
+    wait_for([&] { return done.load() == kFibers; });
+    EXPECT_EQ(late.load(), 0);
+}
+
+TEST(Sched, UnparkAllMatchesPerTokenUnpark) {
+    // One unpark_all over 256 Parked fibers, one thread-mode token and
+    // one Idle fiber token must do what per-token unpark() does: every
+    // Parked fiber runs, the thread-mode token is notified, and the
+    // Idle token is left Notified for its owner's next park.
+    Scheduler s(4);
+    constexpr int kParked = 256;
+    std::atomic<int> ran{0};
+    std::vector<std::shared_ptr<WaitToken>> toks;
+    for (int i = 0; i < kParked; ++i) {
+        Fiber* f = s.spawn(
+            [&] {
+                // One deadline-less park: only the batch wake can end it.
+                current_wait_token()->park_until(clk::time_point::max());
+                ran.fetch_add(1);
+            },
+            kStack);
+        toks.push_back(f->token());
+    }
+    wait_for([&] { return s.stats().parks >= kParked; });
+    std::this_thread::sleep_for(20ms);  // let the last parks publish Parked
+
+    std::atomic<bool> idle_running{false}, idle_go{false}, idle_done{false};
+    std::atomic<std::int64_t> idle_park_ms{-1};
+    Fiber* idle = s.spawn(
+        [&] {
+            idle_running.store(true);
+            while (!idle_go.load()) maybe_yield();
+            const auto t0 = clk::now();
+            current_wait_token()->park_until(t0 + 10s);  // consumes the notify
+            idle_park_ms.store(
+                std::chrono::duration_cast<std::chrono::milliseconds>(clk::now() - t0)
+                    .count());
+            idle_done.store(true);
+        },
+        kStack);
+    toks.push_back(idle->token());
+    wait_for([&] { return idle_running.load(); });
+
+    const auto& main_tok = current_wait_token();
+    main_tok->park_until(clk::now());  // drain to Idle
+    toks.push_back(main_tok);
+    const std::uint64_t batch_before = s.stats().batch_wakes;
+
+    unpark_all(toks);
+    // Thread mode caps an un-notified park at its 5 ms slice, so a
+    // prompt return means the batch left the token notified.
+    const auto t0 = clk::now();
+    main_tok->park_until(t0 + 10s);
+    EXPECT_LT(clk::now() - t0, 5ms) << "thread-mode token was not notified";
+
+    wait_for([&] { return ran.load() == kParked; });
+    EXPECT_EQ(s.stats().batch_wakes - batch_before, static_cast<std::uint64_t>(kParked));
+    idle_go.store(true);
+    wait_for([&] { return idle_done.load(); });
+    EXPECT_LT(idle_park_ms.load(), 2000) << "Idle token was not left Notified";
+}
+
+/// name -> value over one pvar snapshot.
+std::map<std::string, std::uint64_t> pvar_values(pvar::Registry& reg) {
+    std::map<std::string, std::uint64_t> out;
+    for (const pvar::Sample& smp : reg.snapshot().samples)
+        if (const pvar::Desc* d = reg.describe(smp.id)) out[d->name] = smp.value;
+    return out;
+}
+
+TEST(Sched, ParksPvarIsMonotoneAcrossABarrierLoop) {
+    constexpr int kRanks = 256;
+    constexpr int kBarriers = 200;
+    instr::Registry reg;
+    World::Config cfg;
+    cfg.rank_engine = RankEngine::Fiber;
+    cfg.sched_workers = 4;
+    World world(reg, cfg);
+    world.register_program("barriers", [](Rank& r, const std::vector<std::string>&) {
+        r.MPI_Init();
+        for (int i = 0; i < kBarriers; ++i)
+            ASSERT_EQ(r.MPI_Barrier(r.MPI_COMM_WORLD()), MPI_SUCCESS);
+        r.MPI_Finalize();
+    });
+    pvar::Registry& pv = world.pvars();
+    ASSERT_EQ(pvar_values(pv).count("sched.parks"), 1u);
+    LaunchPlan plan;
+    plan.placements.assign(kRanks, "node0");
+    launch(world, "barriers", {}, plan);
+    std::uint64_t prev = 0;
+    for (int i = 0; i < 50; ++i) {
+        const std::uint64_t now = pvar_values(pv).at("sched.parks");
+        EXPECT_GE(now, prev) << "sched.parks went backwards at sample " << i;
+        prev = now;
+        std::this_thread::sleep_for(1ms);
+    }
+    world.join_all();
+    const auto fin = pvar_values(pv);
+    EXPECT_GE(fin.at("sched.parks"), prev);
+    EXPECT_GT(fin.at("sched.parks"), 0u);
+    EXPECT_GT(fin.at("sched.batch_wakes"), 0u) << "barrier closers wake in batches";
 }
 
 }  // namespace
