@@ -2,6 +2,12 @@
 // naming instrumentation (paper sections 4.2.1-4.2.3).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/tool.hpp"
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
@@ -169,6 +175,68 @@ TEST(Discovery, CommunicatorsAndTagsFromMessageTraffic) {
     EXPECT_EQ(fx.tool.hierarchy().get(comms[0]).display, "MainComm");
     const auto tags = fx.tool.hierarchy().children(comms[0], true);
     EXPECT_EQ(tags.size(), 2u);
+}
+
+TEST(Discovery, TagReportsNeverOvertakeTheirCommunicator) {
+    // Two ranks meet a new communicator at once, each with its own tag.
+    // The one that records the communicator must have its report queued
+    // before the other's tag report; a tag report that overtakes makes
+    // the frontend reject a resource whose parent is missing, which
+    // aborts the run.  Thread 0 starts first and records the
+    // communicator; the name lookup that precedes its report copies a
+    // 1 MiB name, holding that report back while thread 1, started a
+    // few microseconds later, records only its tag.  The race is timing
+    // dependent: with the ordering removed this failed 18 of 20 runs on
+    // 4 cores, and on one CPU the two threads cannot overlap at all.
+    ToolFixture fx;
+    const instr::FuncId send = fx.world.fids().PMPI_Send;
+    const auto send_entry = [&](Comm c, int tag) {
+        // PMPI_Send's arguments: buf, count, type, dest, tag, comm.
+        const std::int64_t args[] = {0, 1, 0, 0, tag, c};
+        instr::CallContext ctx;
+        ctx.func = send;
+        ctx.args = args;
+        fx.reg.dispatch(send, instr::Where::Entry, ctx);
+    };
+    using Clock = std::chrono::steady_clock;
+    constexpr int kRounds = 8;
+    const Comm warm = fx.world.create_comm({0});
+    std::vector<Comm> comms;
+    for (int k = 0; k < kRounds; ++k) {
+        comms.push_back(fx.world.create_comm({0}));
+        fx.world.set_comm_name(comms.back(), std::string(std::size_t{1} << 20, 'n'));
+    }
+    std::atomic<int> round{-1};
+    std::atomic<int> done{0};
+    std::atomic<Clock::rep> go{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t] {
+            send_entry(warm, t);  // first dispatch on a thread is slower
+            done.fetch_add(1);
+            for (int k = 0; k < kRounds; ++k) {
+                while (round.load() < k) std::this_thread::yield();
+                const auto start = Clock::time_point(Clock::duration(go.load())) +
+                                   std::chrono::microseconds(t * (2 << (k % 4)));  // 2..16 us
+                while (Clock::now() < start) {
+                }
+                send_entry(comms[k], t);
+                done.fetch_add(1);
+            }
+        });
+    }
+    for (int k = 0; k < kRounds; ++k) {
+        while (done.load() < 2 * (k + 1)) std::this_thread::yield();
+        go.store((Clock::now() + std::chrono::microseconds(200)).time_since_epoch().count());
+        round.store(k);
+    }
+    for (auto& th : threads) th.join();
+    fx.tool.flush();
+    for (const Comm c : comms)
+        EXPECT_EQ(fx.tool.hierarchy()
+                      .children("/SyncObject/Message/comm_" + std::to_string(c), true)
+                      .size(),
+                  2u);
 }
 
 TEST(Discovery, InternalReservedTagsInvisible) {
