@@ -9,6 +9,7 @@
 //   - dispatch with 1 / 4 MDL-compiled snippets,
 //   - dispatch after snippets were deleted (cost returns to baseline),
 //   - snippet insert/remove cost,
+//   - a timer pair plus a byte counter fired by 1 and 4 ranks at once,
 //   - a full MPI_Send round through simmpi with and without a metric.
 #include <benchmark/benchmark.h>
 
@@ -114,6 +115,52 @@ metric t { name "t"; base is walltimer {
     mdl::uninstall(reg, cm);
 }
 BENCHMARK(BM_TimerSnippetPair);
+
+/// The timer pair plus a byte counter with a scratch variable, on one
+/// function, fired from one and from four threads that are each their
+/// own rank.  Every rank fires the same two metrics, so any state the
+/// metrics share between ranks serializes the threads.  No-op sinks
+/// keep the histogram out of the measurement.
+void BM_TimerSnippetPairPerRank(benchmark::State& state) {
+    struct Shared {
+        instr::Registry reg;
+        instr::FuncId f = reg.register_function("f", "m", 0);
+        std::vector<mdl::CompiledMetric> cms;
+    };
+    static std::unique_ptr<Shared> shared;
+    if (state.thread_index() == 0) {
+        // Thread 0 sets up; the benchmark's start barrier publishes it.
+        static const mdl::MdlFile file = mdl::parse(R"(
+metric t { name "t"; base is walltimer {
+  foreach func in s {
+    append preinsn func.entry (* startWallTimer(t); *)
+    prepend preinsn func.return (* stopWallTimer(t); *) } } }
+metric b { name "b"; counter bytes; base is counter {
+  foreach func in s { append preinsn func.entry
+    (* MPI_Type_size($arg[2], &bytes); b += bytes * $arg[1]; *) } } }
+)");
+        shared = std::make_unique<Shared>();
+        auto services = std::make_shared<NullServices>();
+        for (const auto& m : file.metrics)
+            shared->cms.push_back(mdl::compile_metric(
+                shared->reg, m, {}, services,
+                [f = shared->f](const std::string&) { return std::vector<instr::FuncId>{f}; },
+                [](double, double) {}));
+    }
+    instr::set_current_rank(state.thread_index());
+    const std::int64_t args[] = {0, state.range(0), 8};
+    for (auto _ : state) {
+        instr::FunctionGuard g(shared->reg, shared->f, args);
+        benchmark::DoNotOptimize(&g);
+    }
+    instr::set_current_rank(-1);
+    if (state.thread_index() == 0) {
+        // The stop barrier has every thread out of its loop.
+        for (auto& cm : shared->cms) mdl::uninstall(shared->reg, cm);
+        shared.reset();
+    }
+}
+BENCHMARK(BM_TimerSnippetPairPerRank)->Arg(16)->Threads(1)->Threads(4);
 
 /// Full message round trip through simmpi (rank 0 -> rank 1 -> rank 0),
 /// with optional metric instrumentation on the PMPI send path.

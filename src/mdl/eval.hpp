@@ -2,17 +2,22 @@
 // into instrumentation snippets inserted into the Registry, exactly
 // Paradyn's metric-focus instantiation step.  The metric's primary
 // variable feeds a MetricSink (the tool connects it to a folding
-// histogram); constraint code maintains per-thread flags that gate
+// histogram); constraint code maintains per-context flags that gate
 // `constrained` metric code, as in the paper's Figure 2.
+//
+// Compiling lowers every instrumentation point's statements once into
+// a resolved form -- variables and timers become slots, built-in calls
+// and operators enums, `$constraint[k]` its bound value -- and rejects
+// any code that could not run.  A fired snippet does no string work and
+// no map lookup, and a rank reaches its own state without a lock
+// (DESIGN.md section 7, "Compiled snippets").
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "instr/registry.hpp"
@@ -52,80 +57,6 @@ using EventGate = std::function<bool(const instr::CallContext&)>;
 /// registered functions.  The tool owns the set definitions.
 using FuncSetResolver = std::function<std::vector<instr::FuncId>(const std::string&)>;
 
-/// Key identifying the execution context that owns per-context MDL
-/// state (constraint nesting flags, scratch variables, timer nests).
-/// simmpi ranks run as fibers migrating across scheduler worker
-/// threads, so thread identity alone would both mix two ranks sharing
-/// a worker and lose a rank's state when it moves.  Rank identity
-/// (carried in the fiber's migrated instr context) keys rank state;
-/// non-rank tool threads fall back to their thread id.
-struct CtxKey {
-    int rank = -1;
-    std::thread::id tid{};
-    bool operator<(const CtxKey& o) const {
-        return rank != o.rank ? rank < o.rank : tid < o.tid;
-    }
-};
-
-/// The calling context's key: {rank, default id} on a rank, {-1,
-/// this thread's id} elsewhere.
-CtxKey current_ctx_key();
-
-/// Per-context flag state of one instantiated resource constraint.
-///
-/// Flags are nesting *depths*: MDL's `X = 1` at a function entry
-/// increments and `X = 0` at its return decrements (clamped at zero),
-/// so a module constraint stays set across nested library calls
-/// (MPI_Win_fence -> PMPI_Barrier -> PMPI_Sendrecv) and clears only
-/// when the outermost constrained frame returns.
-class ConstraintInstance {
-public:
-    ConstraintInstance(std::string flag_var, std::vector<std::int64_t> bindings);
-
-    const std::string& flag_var() const { return flag_var_; }
-    std::int64_t binding(int k) const;  ///< $constraint[k]
-    bool flag() const;                  ///< this context's depth > 0
-    /// Nonzero v: push one nesting level; zero: pop one (clamped).
-    void set_flag(std::int64_t v);
-
-private:
-    std::string flag_var_;
-    std::vector<std::int64_t> bindings_;
-    mutable std::mutex mu_;
-    std::map<CtxKey, std::int64_t> flags_;
-};
-
-/// Counter / timer environment of one instantiated metric.
-class MetricInstance {
-public:
-    MetricInstance(std::string primary_var, BaseType base, MetricSink sink);
-
-    const std::string& primary_var() const { return primary_var_; }
-    BaseType base() const { return base_; }
-
-    // Scratch counters are per-context (each rank computes its own
-    // `bytes`/`count` temporaries).
-    std::int64_t get_var(const std::string& name) const;
-    void set_var(const std::string& name, std::int64_t v);
-    void add_primary(double now, double delta);
-
-    void start_timer(const std::string& name, bool proc_time);
-    void stop_timer(const std::string& name, bool proc_time);
-
-private:
-    struct TimerState {
-        int nest = 0;
-        double start = 0.0;
-    };
-
-    std::string primary_var_;
-    BaseType base_;
-    MetricSink sink_;
-    mutable std::mutex mu_;
-    std::map<CtxKey, std::map<std::string, std::int64_t>> scratch_;
-    std::map<std::string, std::map<CtxKey, TimerState>> timers_;
-};
-
 /// A constraint to instantiate alongside a metric: the definition plus
 /// the focus-resolved $constraint[] values.  `set_overrides` lets the
 /// caller bind focus-dependent function sets (e.g. `focus_procedure`)
@@ -138,17 +69,25 @@ struct ConstraintBinding {
     std::map<std::string, std::vector<instr::FuncId>> set_overrides;
 };
 
+/// The compiled code and per-context state (scratch variables, timer
+/// nests, constraint nesting depths) of one metric-focus instantiation.
+/// Defined in eval.cpp; the snippets share it with CompiledMetric.
+class MetricInstance;
+
 /// Everything a live metric-focus instantiation owns.  Destroying it
 /// does NOT remove instrumentation; call uninstall() first (Paradyn's
 /// instrumentation deletion).
 struct CompiledMetric {
     std::vector<instr::SnippetHandle> handles;
     std::shared_ptr<MetricInstance> instance;
-    std::vector<std::shared_ptr<ConstraintInstance>> constraints;
 };
 
 /// Compiles and inserts instrumentation for @p metric constrained by
-/// @p bindings.  Throws CompileError on unknown calls or function sets.
+/// @p bindings.  Throws CompileError, with nothing inserted, on code
+/// that could not run: an unknown call or operator, a built-in called
+/// with the wrong arguments, `&x` anywhere but MPI_Type_size's
+/// out-parameter, or `$constraint[k]` outside constraint code or past
+/// its binding's values.
 CompiledMetric compile_metric(instr::Registry& reg, const MetricDef& metric,
                               const std::vector<ConstraintBinding>& bindings,
                               std::shared_ptr<Services> services,

@@ -3,6 +3,7 @@
 // nesting, gates, and uninstall.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <thread>
 
@@ -268,6 +269,126 @@ metric m { name "m"; base is counter {
                  CompileError);
     // Nothing was inserted.
     EXPECT_EQ(fx.reg.snippet_count(fx.fa, instr::Where::Entry), 0u);
+}
+
+TEST(MdlEval, MalformedCodeIsRejectedAtCompileTime) {
+    // Each form parses but could not run; compiling must reject it
+    // before inserting anything, not throw from the instrumented call.
+    struct Case {
+        const char* what;
+        const char* constraint_arg;  ///< in the constraint's entry code
+        const char* metric_code;
+        bool valid;
+    };
+    const Case cases[] = {
+        {"well-formed control", "$constraint[0]", "m++;", true},
+        {"$constraint[k] in metric code", "$constraint[0]", "m += $constraint[0];", false},
+        {"$constraint[k] out of range", "$constraint[1]", "m++;", false},
+        {"&x outside a call's out-parameter", "$constraint[0]", "m += &bytes;", false},
+        {"MPI_Type_size without &", "$constraint[0]",
+         "MPI_Type_size($arg[2], bytes); m += bytes;", false},
+        {"timer argument not an identifier", "$constraint[0]", "startWallTimer($arg[0]);",
+         false},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.what);
+        EvalFixture fx;
+        fx.file = parse(std::string(R"(
+constraint win_c /SyncObject/Window is counter {
+  foreach func in set_b {
+    prepend preinsn func.entry (* if ($arg[0] == )") +
+                        c.constraint_arg + R"() win_c = 1; *)
+    append preinsn func.return (* win_c = 0; *) } }
+metric m { name "m"; counter bytes; constraint win_c; base is counter {
+  foreach func in set_a { append preinsn func.entry (* )" +
+                        c.metric_code + " *) } } }");
+        // One bound value: $constraint[1] is past its end.
+        const ConstraintBinding b{fx.file.find_constraint("win_c"), {7}, {}};
+        if (c.valid) {
+            CompiledMetric cm = compile_metric(fx.reg, fx.file.metrics[0], {b},
+                                               fx.services, fx.resolver(), fx.sink());
+            EXPECT_EQ(cm.handles.size(), 3u);
+            uninstall(fx.reg, cm);
+        } else {
+            EXPECT_THROW(compile_metric(fx.reg, fx.file.metrics[0], {b}, fx.services,
+                                        fx.resolver(), fx.sink()),
+                         CompileError);
+        }
+        for (instr::FuncId f : {fx.fa, fx.fb})
+            for (instr::Where w : {instr::Where::Entry, instr::Where::Return})
+                EXPECT_EQ(fx.reg.snippet_count(f, w), 0u);
+    }
+}
+
+TEST(MdlEval, RankStateIsPrivateAcrossConcurrentRanks) {
+    // Eight rank contexts fire three metrics at once: a walltimer that
+    // nests across fa -> fb, a byte counter whose scratch variable
+    // carries a per-rank value between two statements, and a counter
+    // gated by a constraint on fa.  Any state shared between ranks
+    // shows as a wrong total or an extra timer accrual.  The ranks sit
+    // on both sides of the state table's chunk boundaries.
+    EvalFixture fx;
+    fx.file = parse(R"(
+constraint in_a /Code is counter {
+  foreach func in set_a {
+    prepend preinsn func.entry (* in_a = 1; *)
+    append preinsn func.return (* in_a = 0; *) } }
+metric t { name "t"; base is walltimer {
+  foreach func in set_ab {
+    append preinsn func.entry (* startWallTimer(t); *)
+    prepend preinsn func.return (* stopWallTimer(t); *) } } }
+metric b { name "b"; counter bytes; base is counter {
+  foreach func in set_b {
+    append preinsn func.entry (* MPI_Type_size($arg[1], &bytes); b += bytes * $arg[0]; *) } } }
+metric g { name "g"; constraint in_a; base is counter {
+  foreach func in set_b { append preinsn func.entry constrained (* g++; *) } } }
+)");
+    std::atomic<std::int64_t> timer_accruals{0}, bytes{0}, gated{0};
+    std::atomic<bool> negative_delta{false};
+    std::vector<CompiledMetric> cms;
+    cms.push_back(compile_metric(fx.reg, *fx.file.find_metric("t"), {}, fx.services,
+                                 fx.resolver(), [&](double, double d) {
+                                     if (d < 0) negative_delta = true;
+                                     timer_accruals.fetch_add(1);
+                                 }));
+    cms.push_back(compile_metric(
+        fx.reg, *fx.file.find_metric("b"), {}, fx.services, fx.resolver(),
+        [&](double, double d) { bytes.fetch_add(static_cast<std::int64_t>(d)); }));
+    ConstraintBinding in_a{fx.file.find_constraint("in_a"), {}, {}};
+    cms.push_back(compile_metric(
+        fx.reg, *fx.file.find_metric("g"), {in_a}, fx.services, fx.resolver(),
+        [&](double, double d) { gated.fetch_add(static_cast<std::int64_t>(d)); }));
+
+    constexpr int kIters = 10000;
+    const int ranks[] = {0, 1, 63, 64, 191, 192, 447, 448};
+    std::int64_t expect_bytes = 0;
+    std::vector<std::thread> threads;
+    for (const int rank : ranks) {
+        // FakeServices: type_size(dt) = 4 dt.  Two counted fb calls per
+        // iteration, each of (rank + 1) elements of datatype rank % 5 + 1.
+        expect_bytes += 2LL * kIters * (rank + 1) * 4 * (rank % 5 + 1);
+        threads.emplace_back([&fx, rank] {
+            instr::set_current_rank(rank);
+            const std::int64_t args[] = {rank + 1, rank % 5 + 1};
+            for (int i = 0; i < kIters; ++i) {
+                {
+                    instr::FunctionGuard outer(fx.reg, fx.fa);
+                    instr::FunctionGuard inner(fx.reg, fx.fb, args);  // gated: counted
+                }
+                instr::FunctionGuard bare(fx.reg, fx.fb, args);  // outside fa: not gated in
+            }
+            instr::set_current_rank(-1);
+        });
+    }
+    for (auto& t : threads) t.join();
+
+    constexpr std::int64_t kRanks = std::size(ranks);
+    // One accrual per outer nest: fa (with fb inside) and the bare fb.
+    EXPECT_EQ(timer_accruals.load(), 2 * kRanks * kIters);
+    EXPECT_FALSE(negative_delta.load());
+    EXPECT_EQ(bytes.load(), expect_bytes);
+    EXPECT_EQ(gated.load(), kRanks * kIters);
+    for (auto& cm : cms) uninstall(fx.reg, cm);
 }
 
 TEST(MdlEval, ScratchVarsArePerThread) {

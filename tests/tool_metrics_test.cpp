@@ -95,6 +95,51 @@ TEST(Metrics, MsgBytesRecvCountSendrecvToo) {
     fx.tool.metrics().release(pair);
 }
 
+TEST(Metrics, ByteCountersStayExactOn256RingRanks) {
+    // 256 fiber ranks reach three chunks of the evaluator's
+    // rank-indexed state table, which workers grow concurrently on
+    // first touch, and each rank parks in MPI_Recv and may resume on
+    // another scheduler worker.  Sizes differ per rank and round, so
+    // the totals must still be exact.
+    constexpr int kRanks = 256, kRounds = 20;
+    auto ints = [](int rank, int round) { return 1 + (rank * 7 + round) % 13; };
+    Fx fx;
+    auto sent = fx.tool.metrics().request("msg_bytes_sent", Focus{});
+    auto recv = fx.tool.metrics().request("msg_bytes_recv", Focus{});
+    ASSERT_NE(sent, nullptr);
+    ASSERT_NE(recv, nullptr);
+    fx.run(kRanks, [&](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        const int right = (me + 1) % kRanks, left = (me + kRanks - 1) % kRanks;
+        for (int i = 0; i < kRounds; ++i) {
+            std::vector<int> out(static_cast<std::size_t>(ints(me, i)), me);
+            std::vector<int> in(static_cast<std::size_t>(ints(left, i)));
+            auto send = [&] { r.MPI_Send(out.data(), ints(me, i), MPI_INT, right, i, w); };
+            auto receive = [&] {
+                r.MPI_Recv(in.data(), ints(left, i), MPI_INT, left, i, w, nullptr);
+            };
+            if (me % 2 == 0) {
+                send();
+                receive();
+            } else {
+                receive();
+                send();
+            }
+        }
+        r.MPI_Finalize();
+    });
+    double truth = 0;
+    for (int rank = 0; rank < kRanks; ++rank)
+        for (int i = 0; i < kRounds; ++i) truth += 4.0 * ints(rank, i);
+    EXPECT_DOUBLE_EQ(sent->total(), truth);
+    EXPECT_DOUBLE_EQ(recv->total(), truth);
+    fx.tool.metrics().release(sent);
+    fx.tool.metrics().release(recv);
+}
+
 TEST(Metrics, ProcessGateRestrictsToOneRank) {
     // Hold the job paused so the gated pair is installed before any
     // message flows (otherwise rank 1's sends can finish first on a
