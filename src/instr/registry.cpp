@@ -385,13 +385,22 @@ void Registry::dispatch(FuncId f, Where w, CallContext& ctx) {
                 return;
             }
         }
+        // Unpin on every exit, a throwing snippet's included: a slot left
+        // set keeps its snapshot from ever being freed, and a depth left
+        // raised starts every later dispatch on this thread a level deeper.
+        struct Unpin {
+            HazardOwner& hz;
+            std::atomic<const void*>& slot;
+            ~Unpin() {
+                --hz.depth;
+                slot.store(nullptr, std::memory_order_seq_cst);
+            }
+        } unpin{hz, slot};
         ++hz.depth;
         for (const auto& [id, s] : *snap) {
             s(ctx);
             ++ran;
         }
-        --hz.depth;
-        slot.store(nullptr, std::memory_order_seq_cst);
     }
     ss.executed.store(ss.executed.load(std::memory_order_relaxed) + ran,
                       std::memory_order_relaxed);

@@ -20,6 +20,18 @@ bool contains(const std::vector<int>& v, int x) {
     return std::find(v.begin(), v.end(), x) != v.end();
 }
 
+/// @p global's slot in @p c's arrival gate: its position in `group`,
+/// else group.size() + its position in `remote_group` (the remote side
+/// of an intercommunicator).
+std::size_t gate_slot(const CommData& c, int global) {
+    const auto it = std::find(c.group.begin(), c.group.end(), global);
+    if (it != c.group.end()) return static_cast<std::size_t>(it - c.group.begin());
+    return c.group.size() +
+           static_cast<std::size_t>(
+               std::find(c.remote_group.begin(), c.remote_group.end(), global) -
+               c.remote_group.begin());
+}
+
 std::int64_t as_arg(const void* p) {
     return static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(p));
 }
@@ -330,9 +342,10 @@ int Rank::MPI_Comm_dup(Comm c, Comm* out) {
     fault_point("MPI_Comm_dup");
     CommData& cd = world_.comm(c);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
+    // The rendezvous spans both groups of an intercommunicator; every
+    // member must end up with the same handle, so one member creates it.
     if (!barrier_internal(cd)) return comm_error(c, coll_fail_code(cd));
-    // Every member must end up with the same handle; rank 0 creates.
-    if (my_rank_in(cd) == 0)
+    if (global_ == cd.group.front())
         cd.spawn_result = world_.create_comm(cd.group, cd.remote_group, cd.is_inter);
     if (!barrier_internal(cd)) return comm_error(c, coll_fail_code(cd));
     *out = cd.spawn_result;
@@ -793,51 +806,25 @@ bool Rank::internal_recv(void* buf, int bytes, int src_cr, int tag, CommData& c)
 }
 
 bool Rank::barrier_internal(CommData& c) {
-    std::unique_lock lk(c.bar_mu);
     if (comm_revoked(c)) return false;
     if (world_.death_epoch() != 0) {
-        if (world_.poisoned()) {
-            // check_poisoned detaches window shards; never under
-            // bar_mu.  poisoned() is monotone, so it surely throws.
-            lk.unlock();
-            check_poisoned();
-        }
+        check_poisoned();  // throws when the world is poisoned
         if (world_.comm_has_dead_member(c)) return false;
     }
-    const std::uint64_t gen = c.bar_gen;
-    if (static_cast<std::size_t>(++c.bar_count) == c.group.size()) {
-        c.bar_count = 0;
-        ++c.bar_gen;
-        std::vector<std::shared_ptr<sched::WaitToken>> waiters;
-        waiters.swap(c.bar_waiters);
-        lk.unlock();
-        sched::unpark_all(waiters);
-        return true;
-    }
+    // A waiter that gives up withdraws its arrival, so the count stays
+    // consistent for survivors that bail later (every survivor fails
+    // this barrier alike).
     const auto deadline = wait_deadline();
-    const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
-    for (;;) {
-        c.bar_waiters.push_back(tok);
-        lk.unlock();
-        tok->park_until(deadline);
-        lk.lock();
-        auto& v = c.bar_waiters;
-        v.erase(std::remove(v.begin(), v.end(), tok), v.end());
-        if (c.bar_gen != gen) return true;
-        const bool doomed =
-            world_.poisoned() || comm_revoked(c) ||
-            (world_.death_epoch() != 0 && world_.comm_has_dead_member(c)) ||
-            std::chrono::steady_clock::now() >= deadline;
-        if (doomed) {
-            // Withdraw so the count stays consistent for survivors that
-            // bail later (every survivor fails this barrier alike),
-            // then drop bar_mu before the poison path detaches shards.
-            --c.bar_count;
-            lk.unlock();
-            check_poisoned();
-            return false;
-        }
-    }
+    const bool closed = c.gate.arrive_and_wait(
+        gate_slot(c, global_),
+        [&] {
+            return world_.poisoned() || comm_revoked(c) ||
+                   (world_.death_epoch() != 0 && world_.comm_has_dead_member(c)) ||
+                   std::chrono::steady_clock::now() >= deadline;
+        },
+        deadline);
+    if (!closed) check_poisoned();
+    return closed;
 }
 
 int Rank::next_coll_tag(Comm c) {
@@ -980,8 +967,7 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
                                Op op, int bytes, int tag, CommData& c) {
     const int n = static_cast<int>(c.group.size());
     const int me = my_rank_in(c);
-    std::unique_lock lk(c.shm_mu);
-    if (!c.shm_layout_built) {
+    std::call_once(c.shm_layout_once, [&] {
         std::map<std::string, int> index_of;
         c.shm_node_of.resize(static_cast<std::size_t>(n));
         for (int cr = 0; cr < n; ++cr) {
@@ -996,12 +982,12 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
             ++c.shm_node_size[static_cast<std::size_t>(it->second)];
         }
         c.shm_cells = std::vector<ShmCombineCell>(c.shm_leaders.size());
-        c.shm_layout_built = true;
-    }
+    });
     const int ni = c.shm_node_of[static_cast<std::size_t>(me)];
     ShmCombineCell& cell = c.shm_cells[static_cast<std::size_t>(ni)];
     const int k = c.shm_node_size[static_cast<std::size_t>(ni)];
     const bool leader = c.shm_leaders[static_cast<std::size_t>(ni)] == me;
+    std::unique_lock lk(cell.mu);
     const std::uint64_t gen0 = cell.gen;
     if (cell.arrived == 0) {
         cell.failed = false;
@@ -1035,6 +1021,7 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
                 // leader publish the failure (every member fails alike).
                 cell.failed = true;
                 if (cell.leader_waiter) cell.leader_waiter->unpark();
+                lk.unlock();  // the poison path detaches shards
                 check_poisoned();
                 return false;
             }
@@ -1353,6 +1340,9 @@ int Rank::PMPI_Wait(Request* req, Status* st) {
     if (*req == MPI_REQUEST_NULL) return MPI_SUCCESS;
     if (!world_.request_valid(*req)) return MPI_ERR_REQUEST;
     RequestData& rd = world_.request(*req);
+    // Request handles are process-local: only the owner completes (and
+    // recycles) one.
+    if (rd.owner_global != global_) return MPI_ERR_REQUEST;
     const int rc = wait_one(rd, st);
     world_.free_request(*req);
     *req = MPI_REQUEST_NULL;

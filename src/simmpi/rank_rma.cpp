@@ -291,59 +291,22 @@ int Rank::PMPI_Win_fence(int assert, Win win) {
         return PMPI_Barrier(w.comm);
     }
     // MPICH2: internal fence counter; the waiting time is charged to
-    // MPI_Win_fence itself.  The closing arrival signals each parked
-    // rank's token exactly once -- no shared condition variable, no
-    // thundering herd of n-1 spurious wakeups per fence.
+    // MPI_Win_fence itself.  The closing arrival wakes every parked
+    // rank in one batch -- no lock, no shared condition variable.
     const auto deadline = wait_deadline();
-    std::shared_ptr<DeliveryToken> tok;
-    std::vector<std::shared_ptr<DeliveryToken>> wake;
-    {
-        std::lock_guard lk(w.fence_mu);
-        if (++w.fence_count == n) {
-            w.fence_count = 0;
-            ++w.fence_gen;
-            wake = std::move(w.fence_waiters);
-            w.fence_waiters.clear();
-        } else {
-            tok = std::make_shared<DeliveryToken>();
-            w.fence_waiters.push_back(tok);
-        }
-    }
-    if (!tok) {
-        // This rank closed the fence; wake the parked ranks (outside
-        // fence_mu, so next-fence arrivals are not serialized behind
-        // the wakeup loop) and go.
-        for (auto& t : wake) t->signal();
-        return MPI_SUCCESS;
-    }
-    const bool signalled = tok->wait_or_abandon(
+    const bool closed = w.fence.arrive_and_wait(
+        static_cast<std::size_t>(my_rank_in(cd)),
         [&] {
             return world_.poisoned() || comm_revoked(cd) ||
                    (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd)) ||
                    std::chrono::steady_clock::now() >= deadline;
         },
         deadline);
-    if (!signalled) {
-        {
-            std::lock_guard lk(w.fence_mu);
-            const auto it =
-                std::find(w.fence_waiters.begin(), w.fence_waiters.end(), tok);
-            if (it == w.fence_waiters.end()) {
-                // The closing rank took our token between the abandon
-                // decision and this lock: the fence completed after all.
-                return MPI_SUCCESS;
-            }
-            // Withdraw from the fence so a later (post-fault) fence over
-            // the survivors is not off by one.
-            w.fence_waiters.erase(it);
-            --w.fence_count;
-        }
-        // Error paths only after fence_mu is dropped: check_poisoned
-        // and comm_error may take shard mutexes via rma_detach_all.
-        check_poisoned();
-        return comm_error(w.comm, coll_fail_code(cd));
-    }
-    return MPI_SUCCESS;
+    if (closed) return MPI_SUCCESS;
+    // Withdrawn from the fence, so a later (post-fault) fence over the
+    // survivors is not off by one.
+    check_poisoned();
+    return comm_error(w.comm, coll_fail_code(cd));
 }
 
 int Rank::MPI_Win_start(Group grp, int assert, Win win) {
@@ -1065,52 +1028,14 @@ int Rank::MPI_Intercomm_merge(Comm intercomm, bool high, Comm* intracomm) {
     merged.insert(merged.end(), first.begin(), first.end());
     merged.insert(merged.end(), second.begin(), second.end());
 
-    // Rendezvous over BOTH groups (the op is collective on the whole
-    // intercommunicator); the first process of the merged order
-    // creates the handle, everyone picks it up.
-    const int total = static_cast<int>(cd.group.size() + cd.remote_group.size());
-    auto full_barrier = [&]() -> bool {
-        std::unique_lock lk(cd.bar_mu);
-        const std::uint64_t gen = cd.bar_gen;
-        if (++cd.bar_count == total) {
-            cd.bar_count = 0;
-            ++cd.bar_gen;
-            std::vector<std::shared_ptr<sched::WaitToken>> waiters;
-            waiters.swap(cd.bar_waiters);
-            lk.unlock();
-            sched::unpark_all(waiters);
-            return true;
-        }
-        const auto deadline = wait_deadline();
-        const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
-        while (cd.bar_gen == gen) {
-            cd.bar_waiters.push_back(tok);
-            lk.unlock();
-            tok->park_until(deadline);
-            lk.lock();
-            auto& v = cd.bar_waiters;
-            v.erase(std::remove(v.begin(), v.end(), tok), v.end());
-            if (cd.bar_gen != gen) break;
-            const bool doomed =
-                world_.poisoned() || comm_revoked(cd) ||
-                (world_.death_epoch() != 0 && world_.any_dead(merged)) ||
-                std::chrono::steady_clock::now() >= deadline;
-            if (doomed) {
-                --cd.bar_count;
-                return false;
-            }
-        }
-        return true;
-    };
-    const auto merge_failed = [&] {
-        check_poisoned();
-        return comm_error(intercomm, coll_fail_code(cd));
-    };
-    if (!full_barrier()) return merge_failed();
+    // barrier_internal rendezvouses over BOTH groups (the op is
+    // collective on the whole intercommunicator); the first process of
+    // the merged order creates the handle, everyone picks it up.
+    if (!barrier_internal(cd)) return comm_error(intercomm, coll_fail_code(cd));
     if (global_ == merged.front()) cd.spawn_result = world_.create_comm(merged);
-    if (!full_barrier()) return merge_failed();
+    if (!barrier_internal(cd)) return comm_error(intercomm, coll_fail_code(cd));
     *intracomm = cd.spawn_result;
-    if (!full_barrier()) return merge_failed();
+    if (!barrier_internal(cd)) return comm_error(intercomm, coll_fail_code(cd));
     return MPI_SUCCESS;
 }
 

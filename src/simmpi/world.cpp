@@ -746,6 +746,7 @@ Comm World::create_comm(std::vector<int> group, std::vector<int> remote, bool is
         c.remote_group = std::move(remote);
         c.is_inter = is_inter;
         c.errhandler.store(cfg_.default_errhandler, std::memory_order_relaxed);
+        c.gate.reset(c.group.size() + c.remote_group.size());
     });
 }
 
@@ -772,6 +773,7 @@ void World::release_comm_member(Comm c) {
     }
     std::vector<int>().swap(cd->group);
     std::vector<int>().swap(cd->remote_group);
+    cd->gate.reset(0);  // drops the members' token references
 }
 
 Group World::create_group(std::vector<int> global_ranks) {
@@ -813,10 +815,12 @@ Win World::create_win(Comm c) {
             impl_id = next_win_impl_id_++;
         }
     }
+    const std::size_t members = comm(c).group.size();
     const Win h = wins_.append([&](WinData& w, std::int32_t h2) {
         w.handle = h2;
         w.comm = c;
         w.impl_id = impl_id;
+        w.fence.reset(members);
     });
     // Table-1 pvars for this window.  Handles are never reused (only
     // impl_ids recycle) and the WinData slot outlives MPI_Win_free, so
@@ -877,17 +881,15 @@ RmaCounterSnapshot World::win_rma_counters(Win w) {
 }
 
 Request World::create_request(RequestData rd) {
-    {
-        std::lock_guard lk(request_free_mu_);
-        if (!free_requests_.empty()) {
-            const Request h = free_requests_.back();
-            free_requests_.pop_back();
-            RequestData& slot = requests_.at(h, "simmpi: bad request handle");
-            rd.handle = h;
-            rd.live = true;
-            slot = std::move(rd);
-            return h;
-        }
+    std::vector<Request>& free = proc_data(rd.owner_global).free_requests;
+    if (!free.empty()) {
+        const Request h = free.back();
+        free.pop_back();
+        RequestData& slot = requests_.at(h, "simmpi: bad request handle");
+        rd.handle = h;
+        rd.live = true;
+        slot = std::move(rd);
+        return h;
     }
     return requests_.append([&](RequestData& slot, std::int32_t h) {
         slot = std::move(rd);
@@ -912,9 +914,8 @@ void World::free_request(Request r) {
     rd->kind = RequestKind::Null;
     rd->delivered.reset();
     rd->buf = nullptr;
-    std::lock_guard lk(request_free_mu_);
     rd->live = false;
-    free_requests_.push_back(r);
+    proc_data(rd->owner_global).free_requests.push_back(r);
 }
 
 Mailbox& World::mailbox(int global_rank) {

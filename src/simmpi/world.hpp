@@ -134,6 +134,97 @@ private:
     std::shared_ptr<sched::WaitToken> waiter_;
 };
 
+/// Lock-free rendezvous of a fixed membership, reused generation after
+/// generation: the one arrival primitive behind barrier_internal
+/// (LAM's MPI_Barrier and fence, MPI_Comm_dup, MPI_Intercomm_merge,
+/// spawn, window and file rendezvous) and MPICH's MPI_Win_fence.
+///
+/// One atomic word holds `gen << 32 | arrived`, and each member owns
+/// one token slot.  Within a generation every change to the word is an
+/// atomic RMW, so the closer's acquire sees every member's slot store:
+///   - arrive: (g, k) -> (g, k+1).  The arrival that makes k+1 == n is
+///     the closer.
+///   - close: the closer moves the other n-1 slots out, stores
+///     (g+1, 0), then wakes the moved tokens with one sched::unpark_all.
+///   - withdraw: a waiter whose abandon predicate fires takes
+///     (g, k) -> (g, k-1), but only while the generation is still g and
+///     k < n.  At k == n a close is in flight and the waiter keeps
+///     waiting; once the generation has moved it returns success.
+///
+/// Slot lifetime: a member stores its token in its slot before its
+/// arrival, and cannot leave or re-arrive until the closer publishes
+/// g+1; the closer publishes only after it has moved every slot out.
+/// So the closer never reads a slot a released member is rewriting for
+/// its next arrival, and it wakes tokens it holds its own references
+/// to -- a thread-engine member may finish, and drop its thread-local
+/// token, the moment it sees g+1.  Waking before moving, or reading
+/// the slots after publishing, would race both.
+class ArrivalGate {
+public:
+    /// Sizes the gate for @p members; runs before the gate is shared
+    /// (object creation) or after its last use (object release).
+    void reset(std::size_t members) {
+        word_.store(0, std::memory_order_relaxed);
+        slots_.assign(members, nullptr);
+    }
+
+    /// Arrives as member @p member and waits for the generation to
+    /// close.  Returns true once it has closed, false after withdrawing
+    /// because @p abandoned() turned true.  @p abandoned is consulted
+    /// before every park (a peer that died before the arrival sends no
+    /// future wakeup); @p deadline bounds each park so the predicate's
+    /// own deadline clause is re-evaluated.
+    template <class Abandoned>
+    bool arrive_and_wait(std::size_t member, Abandoned&& abandoned,
+                         std::chrono::steady_clock::time_point deadline) {
+        const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
+        slots_.at(member) = tok;
+        // k < n whenever anyone arrives (all n in means a close is in
+        // flight, and nobody leaves before it publishes), so the
+        // arrival RMW needs no compare.
+        const std::uint64_t arrived = word_.fetch_add(1, std::memory_order_acq_rel);
+        const std::uint64_t gen = arrived >> 32;
+        if ((arrived & kCountMask) + 1 == slots_.size()) {
+            close(member, gen);
+            return true;
+        }
+        for (;;) {
+            std::uint64_t w = word_.load(std::memory_order_acquire);
+            if ((w >> 32) != gen) return true;
+            if (abandoned()) {
+                while ((w >> 32) == gen && (w & kCountMask) < slots_.size()) {
+                    if (word_.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
+                                                    std::memory_order_acquire))
+                        return false;
+                }
+                if ((w >> 32) != gen) return true;
+                // k == n: the closer holds our token and wakes it right
+                // after publishing; park without a deadline until then.
+                deadline = std::chrono::steady_clock::time_point::max();
+            }
+            tok->park_until(deadline);
+        }
+    }
+
+private:
+    static constexpr std::uint64_t kCountMask = 0xffffffffu;
+
+    void close(std::size_t closer, std::uint64_t gen) {
+        std::vector<std::shared_ptr<sched::WaitToken>> wake;
+        wake.reserve(slots_.size());
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            if (i != closer) wake.push_back(std::move(slots_[i]));
+        // Nothing else changes the word while k == n, so a plain store
+        // publishes the next generation (wrapping at 2^32) with no
+        // arrivals.
+        word_.store((gen + 1) << 32, std::memory_order_release);
+        sched::unpark_all(wake);
+    }
+
+    std::atomic<std::uint64_t> word_{0};
+    std::vector<std::shared_ptr<sched::WaitToken>> slots_;
+};
+
 /// One message in flight.
 struct Envelope {
     int src_global = -1;
@@ -250,16 +341,22 @@ struct ProcData {
     /// literal, hence the raw pointer) and how many it has made.
     std::atomic<const char*> last_call{nullptr};
     std::atomic<std::uint64_t> calls_made{0};
+    /// Recycled request slots of the requests this rank owns.  Only
+    /// the owner creates and frees its requests (Isend/Irecv/Wait), so
+    /// the list needs no lock.
+    std::vector<Request> free_requests;
 };
 
 /// Shared-memory combining cell for the node-aware tree allreduce:
 /// one per (communicator, simulated node).  Ranks that share a node
-/// fold their contributions into `acc` under the comm's shm_mu --
+/// fold their contributions into `acc` under the cell's own mutex --
 /// intra-node traffic never touches a mailbox, exactly the shm
-/// fast path LAM's sysv RPI and MPICH's shared-memory device use.
-/// The node leader carries the folded value through the cross-node
-/// exchange and publishes the result by bumping `gen`.
+/// fast path LAM's sysv RPI and MPICH's shared-memory device use, and
+/// ranks on different nodes never share a lock.  The node leader
+/// carries the folded value through the cross-node exchange and
+/// publishes the result by bumping `gen`.
 struct ShmCombineCell {
+    std::mutex mu;          ///< guards everything below
     std::uint64_t gen = 0;  ///< bumps when a round's outcome publishes
     int arrived = 0;        ///< arrivals in the current round
     bool failed = false;    ///< a member bailed (death/poison/deadline)
@@ -300,26 +397,22 @@ struct CommData {
     FtRendezvous shrink_rv;
     FtRendezvous split_rv;
 
-    // Internal (uninstrumented) central barrier state.  Arrivals park
-    // their own wait token in bar_waiters; the closing rank bumps the
-    // generation and unparks the collected tokens -- a targeted fan-out
-    // instead of a broadcast condition variable.
-    std::mutex bar_mu;
-    int bar_count = 0;
-    std::uint64_t bar_gen = 0;
-    std::vector<std::shared_ptr<sched::WaitToken>> bar_waiters;
+    /// Internal (uninstrumented) central barrier over every member --
+    /// both groups of an intercommunicator.  Member index: position in
+    /// `group`, then group.size() + position in `remote_group`.
+    ArrivalGate gate;
 
     // Spawn rendezvous: root publishes the new intercomm handle here.
     Comm spawn_result = MPI_COMM_NULL;
     // Collective MPI_Win_create rendezvous: rank 0 publishes the handle.
     Win win_result = MPI_WIN_NULL;
 
-    // Node-aware collective layout + combining cells, built lazily
-    // under shm_mu on first tree allreduce (placement is fixed for the
-    // comm's lifetime).  shm_leaders holds one comm rank per node (the
-    // lowest on that node); shm_node_of maps comm rank -> node index.
-    std::mutex shm_mu;
-    bool shm_layout_built = false;
+    // Node-aware collective layout + combining cells, built once on
+    // first tree allreduce and immutable after (placement is fixed for
+    // the comm's lifetime); call_once publishes it, so readers take no
+    // lock.  shm_leaders holds one comm rank per node (the lowest on
+    // that node); shm_node_of maps comm rank -> node index.
+    std::once_flag shm_layout_once;
     std::vector<int> shm_leaders;
     std::vector<int> shm_node_of;
     std::vector<int> shm_node_size;
@@ -454,13 +547,9 @@ struct WinData {
         return it == shards.end() ? nullptr : &it->second;
     }
 
-    // Fence epoch (internal barrier for the Mpich flavor): arrivals
-    // park on per-rank tokens; the closing rank signals each exactly
-    // once instead of broadcasting on a shared condition variable.
-    std::mutex fence_mu;
-    int fence_count = 0;
-    std::uint64_t fence_gen = 0;
-    std::vector<std::shared_ptr<DeliveryToken>> fence_waiters;
+    /// Fence epoch (internal barrier for the Mpich flavor), one slot per
+    /// member of `comm`.
+    ArrivalGate fence;
 
     WinCounters counters;  ///< epoch-batched Table-1 accounting
 };
@@ -826,6 +915,9 @@ public:
     /// freed windows too: the handle-table slot persists, so tools can
     /// read final totals after MPI_Win_free.
     RmaCounterSnapshot win_rma_counters(Win w);
+    /// Creates and frees request slots; both run only on the owning
+    /// rank (rd.owner_global), which recycles slots through its own
+    /// ProcData::free_requests.
     Request create_request(RequestData rd);
     RequestData& request(Request r);
     bool request_valid(Request r) const;
@@ -898,12 +990,6 @@ private:
     HandleTable<RequestData> requests_;
     HandleTable<FileData> files_;
     std::atomic<std::int64_t> next_context_{100};
-
-    /// Recycled request slots (mirrors the free_win_impl_ids_ scheme):
-    /// completed requests return their handle here instead of growing
-    /// the table forever.
-    mutable std::mutex request_free_mu_;
-    std::vector<Request> free_requests_;
 
     /// Guards MPI-2 object names (set/get_name are rare control-plane
     /// calls; the data path never touches them).

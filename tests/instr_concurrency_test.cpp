@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -149,6 +151,34 @@ TEST(InstrConcurrency, RemoveDuringDispatchKeepsSnapshotAlive) {
     dispatcher.join();
     EXPECT_EQ(reg.snippet_count(f, Where::Return), 0u);
     SUCCEED();
+}
+
+TEST(InstrConcurrency, ThrowingSnippetDoesNotPinItsSnapshot) {
+    // A snippet that throws out of dispatch must still unpin the
+    // snapshot it ran from: once removed, the snapshot (and whatever the
+    // snippet captured) is freed, and the thread's next dispatch works.
+    Registry reg;
+    const FuncId f = reg.register_function("f", "m", 0);
+    auto captured = std::make_shared<int>(7);
+    const std::weak_ptr<int> watch = captured;
+    const SnippetHandle thrower =
+        reg.insert(f, Where::Entry, [captured](const CallContext&) {
+            throw std::runtime_error("snippet failed");
+        });
+    captured.reset();
+    EXPECT_THROW({ FunctionGuard g(reg, f); }, std::runtime_error);
+    EXPECT_TRUE(reg.remove(thrower));
+    // Each insert/remove retires a snapshot and rescans the hazard slots.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(reg.remove(reg.insert(f, Where::Return, [](const CallContext&) {})));
+    EXPECT_TRUE(watch.expired()) << "the throwing snippet's snapshot is still pinned";
+
+    int fires = 0;
+    const SnippetHandle counter =
+        reg.insert(f, Where::Entry, [&](const CallContext&) { ++fires; });
+    { FunctionGuard g(reg, f); }
+    EXPECT_EQ(fires, 1);
+    EXPECT_TRUE(reg.remove(counter));
 }
 
 }  // namespace

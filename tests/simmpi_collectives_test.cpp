@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
 #include "simmpi/world.hpp"
@@ -155,6 +160,175 @@ TEST_P(CollectivesTest, ErrorsOnBadArguments) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, CollectivesTest,
+                         ::testing::Values(Flavor::Lam, Flavor::Mpich),
+                         [](const ::testing::TestParamInfo<Flavor>& i) {
+                             return i.param == Flavor::Lam ? "Lam" : "Mpich";
+                         });
+
+// ---------------------------------------------------------------------------
+// The arrival protocol behind barrier_internal (LAM's MPI_Barrier) and
+// MPICH's MPI_Win_fence: withdraw on abandon, re-arrive, and a long
+// interleaving of every collective that rides it.
+// ---------------------------------------------------------------------------
+
+struct ArrivalCase {
+    RankEngine engine;
+    Flavor flavor;  ///< Lam: MPI_Barrier; Mpich: MPI_Win_fence
+};
+
+class CollectivesArrivalTest : public ::testing::TestWithParam<ArrivalCase> {};
+
+TEST_P(CollectivesArrivalTest, WithdrawnWaitersRearriveAndLaterRoundsSucceed) {
+    // Every rank but rank 0 times out of its first arrival and withdraws
+    // with an error.  Rank 0 arrives only then: it must complete the
+    // others' next arrival (not a stale count), and 100 more rounds must
+    // succeed on every rank, each ordering the stamps written before it.
+    constexpr int kRanks = 4;
+    constexpr int kRounds = 101;
+    const ArrivalCase tc = GetParam();
+    instr::Registry reg;
+    World::Config cfg;
+    cfg.flavor = tc.flavor;
+    cfg.rank_engine = tc.engine;
+    cfg.wait_deadline_seconds = 1.0;
+    World world(reg, cfg);
+    std::atomic<int> withdrawn{0};
+    std::atomic<int> finished{0};
+    // Double-buffered by round parity: a rank cannot write round r+2's
+    // stamps before every rank has left round r+1, so plain ints are
+    // race-free exactly when the arrival orders side effects.
+    std::vector<int> stamps[2] = {std::vector<int>(kRanks, -1),
+                                  std::vector<int>(kRanks, -1)};
+    world.register_program("prog", [&](Rank& r, const std::vector<std::string>&) {
+        ASSERT_EQ(r.MPI_Init(), MPI_SUCCESS);
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        int cell = 0;
+        Win win = MPI_WIN_NULL;
+        if (tc.flavor == Flavor::Mpich)
+            ASSERT_EQ(r.MPI_Win_create(&cell, sizeof cell, 1, MPI_INFO_NULL, w, &win),
+                      MPI_SUCCESS);
+        const auto arrive = [&] {
+            return tc.flavor == Flavor::Mpich ? r.MPI_Win_fence(0, win) : r.MPI_Barrier(w);
+        };
+        if (me == 0) {
+            while (withdrawn.load() < kRanks - 1) sched::sleep_for(std::chrono::milliseconds(1));
+        } else {
+            EXPECT_NE(arrive(), MPI_SUCCESS) << "rank " << me << " should time out";
+            ++withdrawn;
+        }
+        for (int round = 0; round < kRounds; ++round) {
+            std::vector<int>& st = stamps[round & 1];
+            st[static_cast<std::size_t>(me)] = round;
+            ASSERT_EQ(arrive(), MPI_SUCCESS) << "rank " << me << " round " << round;
+            for (int i = 0; i < kRanks; ++i)
+                ASSERT_EQ(st[static_cast<std::size_t>(i)], round)
+                    << "rank " << me << " round " << round << " stamp of " << i;
+        }
+        if (win != MPI_WIN_NULL) ASSERT_EQ(r.MPI_Win_free(&win), MPI_SUCCESS);
+        ++finished;
+        r.MPI_Finalize();
+    });
+    LaunchPlan plan;
+    plan.placements.assign(kRanks, "node0");
+    launch(world, "prog", {}, plan);
+    world.join_all();
+    EXPECT_EQ(withdrawn.load(), kRanks - 1);
+    EXPECT_EQ(finished.load(), kRanks);
+    EXPECT_TRUE(world.epitaphs().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CollectivesArrivalTest,
+    ::testing::Values(ArrivalCase{RankEngine::Fiber, Flavor::Lam},
+                      ArrivalCase{RankEngine::Fiber, Flavor::Mpich},
+                      ArrivalCase{RankEngine::Thread, Flavor::Lam},
+                      ArrivalCase{RankEngine::Thread, Flavor::Mpich}),
+    [](const ::testing::TestParamInfo<ArrivalCase>& i) {
+        return std::string(i.param.engine == RankEngine::Fiber ? "Fiber" : "Thread") +
+               (i.param.flavor == Flavor::Lam ? "LamBarrier" : "MpichFence");
+    });
+
+class CollectivesInterleavedTest : public ::testing::TestWithParam<Flavor> {};
+
+TEST_P(CollectivesInterleavedTest, BarrierAllreduceAndFenceOnWorldAndDupAt256Ranks) {
+    // 256 fiber ranks, 8 per node, interleave MPI_Barrier, MPI_Allreduce
+    // and fence epochs on MPI_COMM_WORLD and on a dup of it for 200
+    // rounds.  On LAM the barrier and the fence's closing barrier ride
+    // the communicator's arrival gate; on MPICH the fence rides the
+    // window's.  Every value is checked every round.
+    constexpr int kRanks = 256;
+    constexpr int kRounds = 200;
+    instr::Registry reg;
+    World::Config cfg;
+    cfg.flavor = GetParam();
+    World world(reg, cfg);
+    // stamps[comm][round parity][rank]; see the withdraw test.
+    std::vector<int> stamps[2][2];
+    for (auto& per_comm : stamps)
+        for (auto& st : per_comm) st.assign(kRanks, -1);
+    std::atomic<int> finished{0};
+    world.register_program("prog", [&](Rank& r, const std::vector<std::string>&) {
+        ASSERT_EQ(r.MPI_Init(), MPI_SUCCESS);
+        const Comm world_comm = r.MPI_COMM_WORLD();
+        Comm dup = MPI_COMM_NULL;
+        ASSERT_EQ(r.MPI_Comm_dup(world_comm, &dup), MPI_SUCCESS);
+        const Comm comms[2] = {world_comm, dup};
+        int me = 0;
+        r.MPI_Comm_rank(world_comm, &me);
+        const int right = (me + 1) % kRanks;
+        const int left = (me + kRanks - 1) % kRanks;
+        long cells[2] = {-1, -1};
+        Win wins[2] = {MPI_WIN_NULL, MPI_WIN_NULL};
+        for (int c = 0; c < 2; ++c)
+            ASSERT_EQ(r.MPI_Win_create(&cells[c], sizeof(long), sizeof(long), MPI_INFO_NULL,
+                                       comms[c], &wins[c]),
+                      MPI_SUCCESS);
+        for (int round = 0; round < kRounds; ++round) {
+            for (int c = 0; c < 2; ++c) {
+                const Comm comm = comms[c];
+                std::vector<int>& st = stamps[c][round & 1];
+                st[static_cast<std::size_t>(me)] = round;
+                ASSERT_EQ(r.MPI_Barrier(comm), MPI_SUCCESS);
+                for (int i = 0; i < kRanks; ++i)
+                    ASSERT_EQ(st[static_cast<std::size_t>(i)], round)
+                        << "rank " << me << " round " << round << " comm " << c;
+
+                const long in[2] = {me + round, me};
+                long sum[2] = {0, 0};
+                ASSERT_EQ(r.MPI_Allreduce(in, sum, 2, MPI_LONG, MPI_SUM, comm), MPI_SUCCESS);
+                const long base = static_cast<long>(kRanks) * (kRanks - 1) / 2;
+                ASSERT_EQ(sum[0], base + static_cast<long>(kRanks) * round);
+                ASSERT_EQ(sum[1], base);
+                long top = 0;
+                ASSERT_EQ(r.MPI_Allreduce(&in[0], &top, 1, MPI_LONG, MPI_MAX, comm),
+                          MPI_SUCCESS);
+                ASSERT_EQ(top, kRanks - 1 + round);
+
+                const long put = 1000L * me + round;
+                ASSERT_EQ(r.MPI_Win_fence(0, wins[c]), MPI_SUCCESS);
+                ASSERT_EQ(r.MPI_Put(&put, 1, MPI_LONG, right, 0, 1, MPI_LONG, wins[c]),
+                          MPI_SUCCESS);
+                ASSERT_EQ(r.MPI_Win_fence(0, wins[c]), MPI_SUCCESS);
+                ASSERT_EQ(cells[c], 1000L * left + round)
+                    << "rank " << me << " round " << round << " comm " << c;
+            }
+        }
+        for (Win& w : wins) ASSERT_EQ(r.MPI_Win_free(&w), MPI_SUCCESS);
+        ASSERT_EQ(r.MPI_Comm_free(&dup), MPI_SUCCESS);
+        ++finished;
+        r.MPI_Finalize();
+    });
+    LaunchPlan plan;
+    for (int i = 0; i < kRanks; ++i) plan.placements.push_back("node" + std::to_string(i / 8));
+    launch(world, "prog", {}, plan);
+    world.join_all();
+    EXPECT_EQ(finished.load(), kRanks);
+    EXPECT_TRUE(world.epitaphs().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Flavors, CollectivesInterleavedTest,
                          ::testing::Values(Flavor::Lam, Flavor::Mpich),
                          [](const ::testing::TestParamInfo<Flavor>& i) {
                              return i.param == Flavor::Lam ? "Lam" : "Mpich";

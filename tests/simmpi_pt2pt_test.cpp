@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
 #include "simmpi/world.hpp"
@@ -203,6 +205,38 @@ TEST(Pt2pt, NonblockingSendRecvWaitall) {
             EXPECT_EQ(vals[0], 10);
             EXPECT_EQ(vals[1], 20);
             EXPECT_EQ(vals[2], 30);
+        }
+        r.MPI_Finalize();
+    });
+}
+
+TEST(Pt2pt, WaitRefusesARequestAnotherRankOwns) {
+    // Request handles are process-local: only the owner completes one
+    // and recycles its slot, so another rank's MPI_Wait on the handle is
+    // refused and leaves the request pending for its owner.
+    Fixture fx;
+    std::atomic<Request> shared{MPI_REQUEST_NULL};
+    fx.run(2, [&](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        const int v = 1;
+        Request mine = MPI_REQUEST_NULL;
+        if (me == 0) {
+            ASSERT_EQ(r.MPI_Isend(&v, 1, MPI_INT, MPI_PROC_NULL, 0, w, &mine), MPI_SUCCESS);
+            shared = mine;
+        }
+        ASSERT_EQ(r.MPI_Barrier(w), MPI_SUCCESS);
+        if (me == 1) {
+            Request theirs = shared.load();
+            EXPECT_EQ(r.MPI_Wait(&theirs, nullptr), MPI_ERR_REQUEST);
+            EXPECT_EQ(theirs, shared.load());
+        }
+        ASSERT_EQ(r.MPI_Barrier(w), MPI_SUCCESS);
+        if (me == 0) {
+            EXPECT_EQ(r.MPI_Wait(&mine, nullptr), MPI_SUCCESS);
+            EXPECT_EQ(mine, MPI_REQUEST_NULL);
         }
         r.MPI_Finalize();
     });

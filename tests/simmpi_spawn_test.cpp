@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <utility>
 
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
@@ -142,6 +144,77 @@ TEST(Spawn, IntercommMergeBuildsIntracomm) {
     });
     fx.launch_parents(1, "parent");
     EXPECT_EQ(checked.load(), 3);
+}
+
+TEST(Spawn, IntercommDupGivesEveryMemberOneHandle) {
+    // MPI_Comm_dup on an intercommunicator is collective over both
+    // groups: all five members (2 parents, 3 children) must get
+    // MPI_SUCCESS and one shared handle, and the duplicate must carry
+    // traffic between the groups.  The short deadline turns a
+    // rendezvous that miscounts its members into a quick failure.
+    instr::Registry reg;
+    World::Config cfg;
+    cfg.wait_deadline_seconds = 2.0;
+    World world(reg, cfg);
+    std::mutex mu;
+    std::vector<std::pair<int, Comm>> dups;  // (return code, handle) per member
+    std::atomic<int> received{0};
+    const auto dup_and_talk = [&](Rank& r, Comm inter, bool parent) {
+        Comm dup = MPI_COMM_NULL;
+        const int rc = r.MPI_Comm_dup(inter, &dup);
+        {
+            std::lock_guard lk(mu);
+            dups.emplace_back(rc, dup);
+        }
+        if (rc != MPI_SUCCESS) return;
+        int me = 0;
+        r.MPI_Comm_rank(dup, &me);
+        if (parent && me == 0) {
+            for (int child = 0; child < 3; ++child) {
+                const int v = 100 + child;
+                EXPECT_EQ(r.MPI_Send(&v, 1, MPI_INT, child, 5, dup), MPI_SUCCESS);
+            }
+        } else if (!parent) {
+            int v = -1;
+            EXPECT_EQ(r.MPI_Recv(&v, 1, MPI_INT, 0, 5, dup, nullptr), MPI_SUCCESS);
+            EXPECT_EQ(v, 100 + me);
+            ++received;
+        }
+    };
+    world.register_program("child", [&](Rank& r, const std::vector<std::string>&) {
+        r.MPI_Init();
+        Comm parent = MPI_COMM_NULL;
+        r.MPI_Comm_get_parent(&parent);
+        dup_and_talk(r, parent, /*parent=*/false);
+        r.MPI_Finalize();
+    });
+    Comm spawned = MPI_COMM_NULL;
+    world.register_program("parent", [&](Rank& r, const std::vector<std::string>&) {
+        r.MPI_Init();
+        Comm inter = MPI_COMM_NULL;
+        std::vector<int> errcodes;
+        ASSERT_EQ(r.MPI_Comm_spawn("child", {}, 3, MPI_INFO_NULL, 0, r.MPI_COMM_WORLD(),
+                                   &inter, &errcodes),
+                  MPI_SUCCESS);
+        {
+            std::lock_guard lk(mu);
+            spawned = inter;
+        }
+        dup_and_talk(r, inter, /*parent=*/true);
+        r.MPI_Finalize();
+    });
+    LaunchPlan plan;
+    plan.placements = {"node0", "node1"};
+    launch(world, "parent", {}, plan);
+    world.join_all();
+    ASSERT_EQ(dups.size(), 5u);
+    for (const auto& [rc, handle] : dups) {
+        EXPECT_EQ(rc, MPI_SUCCESS);
+        EXPECT_NE(handle, MPI_COMM_NULL);
+        EXPECT_NE(handle, spawned);
+        EXPECT_EQ(handle, dups.front().second);
+    }
+    EXPECT_EQ(received.load(), 3);
 }
 
 TEST(Spawn, MpichFlavorRejectsSpawn) {
