@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -194,9 +195,12 @@ double PerformanceConsultant::evaluate_batch(
         PCNode* node;
         std::shared_ptr<MetricFocusPair> pair;
         double total0 = 0.0;
+        /// CPUBound: each focus rank's unparked seconds at request.
+        std::map<int, double> unparked0;
     };
     std::vector<Experiment> exps;
     MetricManager& mm = tool_.metrics();
+    const simmpi::World& world = tool_.world();
     for (PCNode* n : batch) {
         const HypothesisDef& h = hypothesis(n->hypothesis);
         auto pair = mm.request(h.metric, n->focus);
@@ -207,7 +211,10 @@ double PerformanceConsultant::evaluate_batch(
         tool_.world().trace_event(trace::EventKind::ExperimentStart, -1,
                                   static_hypothesis_name(n->hypothesis),
                                   focus_depth(n->focus));
-        exps.push_back({n, pair, pair->total()});
+        Experiment& e = exps.emplace_back(Experiment{n, pair, pair->total(), {}});
+        if (n->hypothesis == "CPUBound")
+            for (int r : tool_.ranks_for_focus(n->focus))
+                e.unparked0[r] = world.proc_unparked_seconds(r);
     }
     // Snapshot the failure state: any death during the evaluation
     // interval means these experiments measured a shrinking process
@@ -224,25 +231,33 @@ double PerformanceConsultant::evaluate_batch(
                                   "rank_lost_mid_experiment",
                                   static_cast<std::int64_t>(exps.size()));
 
+    const unsigned cpus_usable = util::usable_cpu_count();
     for (Experiment& e : exps) {
         // Overwrite, don't accumulate: a clean re-test over the
         // survivors clears the stale truncation verdict.
         e.node->truncated = lost_ranks;
         const double delta = e.pair->total() - e.total0;
         const double cpus = delta / elapsed;
-        std::size_t denom =
-            std::max<std::size_t>(1, tool_.ranks_for_focus(e.node->focus).size());
+        const std::vector<int> ranks = tool_.ranks_for_focus(e.node->focus);
+        double denom = static_cast<double>(std::max<std::size_t>(1, ranks.size()));
         if (e.node->hypothesis == "CPUBound") {
-            // CPU consumption is bounded by hardware capacity, not by
-            // the process count: on an oversubscribed host (fewer
-            // cores than ranks) a fully CPU-bound program still only
-            // burns `cores` CPUs.  On the paper's cluster (a core per
-            // process) this equals the process count.
-            const std::size_t cores =
-                std::max<unsigned>(1, std::thread::hardware_concurrency());
-            denom = std::min(denom, cores);
+            // Capacity is the CPU the focus's processes asked for: the
+            // process-seconds per second in which they were neither
+            // parked (blocked in MPI, sleeping) nor finished.  One busy
+            // server among parked clients asks for one CPU on any
+            // host, and no process can burn more than it asks for.
+            // At least one process, and no more than the host's usable
+            // CPUs: an oversubscribed host runs only that many at once.
+            double asked = 0.0;
+            for (int r : ranks) {
+                const auto it = e.unparked0.find(r);  // absent: started since
+                asked += world.proc_unparked_seconds(r) -
+                         (it == e.unparked0.end() ? 0.0 : it->second);
+            }
+            denom = std::clamp(asked / elapsed, 1.0,
+                               std::min(denom, static_cast<double>(cpus_usable)));
         }
-        e.node->value = cpus / static_cast<double>(denom);
+        e.node->value = cpus / denom;
         e.node->tested = true;
         e.node->tested_true = e.node->value > e.node->threshold;
         PerfTool::PcCounters& pc = tool_.pc_counters();

@@ -26,7 +26,10 @@ namespace m2p::core {
 struct PCNode {
     std::string hypothesis;
     Focus focus;
-    double value = 0.0;      ///< measured normalized value (per-process)
+    /// Measured value per unit of capacity: the metric's rate divided
+    /// by the focus's process count, or for CPUBound by the CPU its
+    /// processes asked for (DESIGN.md section 6).
+    double value = 0.0;
     double threshold = 0.0;
     bool tested = false;     ///< program may end before deep nodes run
     bool tested_true = false;

@@ -80,7 +80,6 @@ std::shared_ptr<MetricFocusPair> MetricManager::request(const std::string& metri
                                                   bins_, hist_stripes_for(tool_));
         for (int r : tool_.ranks_for_focus(focus))
             pair->cpu_last_[r] = tool_.world().proc_cpu_seconds(r);
-        pair->sys_last_ = util::process_system_seconds();
         std::lock_guard lk(mu_);
         active_.push_back(pair);
         return pair;
@@ -232,30 +231,36 @@ void MetricManager::sampler_loop() {
         const double now = util::wall_seconds();
         for (const auto& p : natives) {
             double delta = 0.0;
-            const std::vector<int> ranks = tool_.ranks_for_focus(p->focus_);
-            for (int r : ranks) {
+            for (int r : tool_.ranks_for_focus(p->focus_)) {
                 const double cur = tool_.world().proc_cpu_seconds(r);
                 const auto it = p->cpu_last_.find(r);
                 if (it == p->cpu_last_.end()) {
                     p->cpu_last_[r] = cur;  // first sighting: baseline only
-                } else {
-                    delta += cur - it->second;
+                } else if (const double share = user_share(r); share >= 0.0) {
+                    delta += (cur - it->second) * share;
                     it->second = cur;
                 }
             }
-            // Thread CPU clocks include kernel time; subtract the
-            // focus's share of process system time so the metric
-            // reports user CPU, like Paradyn's.
-            const double sys_now = util::process_system_seconds();
-            const double sys_delta = sys_now - p->sys_last_;
-            p->sys_last_ = sys_now;
-            const int total = std::max(1, tool_.known_process_count());
-            delta -= sys_delta * static_cast<double>(ranks.size()) /
-                     static_cast<double>(total);
             if (delta > 0.0) p->hist_->add(now, delta);
         }
         std::this_thread::sleep_for(tick);
     }
+}
+
+double MetricManager::user_share(int rank) {
+    // Each rank's share comes from its own thread's kernel counters, so
+    // no other thread's history -- another rank's, or an earlier
+    // session's in the same process -- skews it (DESIGN.md section 6).
+    // The share is cumulative and moves slowly.
+    constexpr double kRefreshSeconds = 0.02;
+    UserShare& u = user_shares_[rank];
+    const double now = util::wall_seconds();
+    if (now - u.read_at >= kRefreshSeconds) {
+        u.read_at = now;
+        if (const double share = tool_.world().proc_user_share(rank); share >= 0.0)
+            u.share = share;
+    }
+    return u.share;
 }
 
 }  // namespace m2p::core

@@ -14,6 +14,7 @@
 // daemon samples process timers).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,13 +59,10 @@ private:
     std::shared_ptr<Histogram> hist_;
     bool native_cpu_ = false;
     mdl::CompiledMetric compiled_;
-    // Native-cpu sampling state: last CPU reading per rank, plus the
-    // last process system-time reading (subtracted so the metric
-    // approximates *user* CPU time -- Paradyn's default metrics do not
-    // see system time, which is why PPerfMark's system-time program
-    // fails, paper Table 2).
+    // Native-cpu sampling state: the CPU reading per rank charged up
+    // to (a rank whose user share is not known yet keeps its reading,
+    // so its CPU is charged once the share arrives).
     std::map<int, double> cpu_last_;
-    double sys_last_ = 0.0;
 };
 
 class MetricManager {
@@ -88,6 +86,18 @@ public:
 
 private:
     void sampler_loop();
+    /// The share of @p rank's CPU that counts as user time
+    /// (World::proc_user_share, re-read at most every 20 ms), or
+    /// negative while unknown.  The native CPU metric charges each CPU
+    /// clock advance at it: Paradyn's default metrics see only user
+    /// time, which is why PPerfMark's system-time program fails (paper
+    /// Table 2).  Sampler thread only.
+    double user_share(int rank);
+
+    struct UserShare {
+        double share = -1.0;      ///< latest user share; negative: none yet
+        double read_at = -1e9;    ///< wall_seconds() of the last read
+    };
 
     PerfTool& tool_;
     double bin_width_;
@@ -95,6 +105,7 @@ private:
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<MetricFocusPair>> active_;
     bool stop_ = false;
+    std::map<int, UserShare> user_shares_;  ///< sampler thread only
     std::thread sampler_;
 };
 

@@ -538,7 +538,7 @@ int PerfTool::wrap_spawn(simmpi::Rank& rank, simmpi::SpawnArgs args,
     int my_rank_in_comm = -1;
     rank.MPI_Comm_rank(args.comm, &my_rank_in_comm);
     if (my_rank_in_comm == args.root)
-        std::this_thread::sleep_for(
+        simmpi::sched::sleep_for(
             std::chrono::duration<double>(opts_.daemon_start_cost * args.maxprocs));
     const int rc = rank.PMPI_Comm_spawn(cmd, args.argv, args.maxprocs, args.info,
                                         args.root, args.comm, intercomm, errcodes);

@@ -78,8 +78,8 @@ public:
     void set_cpu_sink(std::atomic<std::int64_t>* sink) { cpu_sink_ = sink; }
     std::atomic<std::int64_t>* cpu_sink() const { return cpu_sink_; }
 
-    /// CLOCK_THREAD_CPUTIME_ID stamp taken at the current slice's
-    /// switch-in; valid only while the fiber is running.
+    /// slice_clock_ns() stamp taken at the current slice's switch-in;
+    /// valid only while the fiber is running.
     std::int64_t slice_cpu_start() const { return slice_cpu_start_; }
 
     /// Hand control back to the worker.  Must be called on this

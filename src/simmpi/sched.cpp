@@ -8,10 +8,6 @@
 
 namespace m2p::simmpi::sched {
 
-namespace {
-
-thread_local Worker* t_worker = nullptr;
-
 // Per-slice CPU accounting runs on every fiber switch-in/out, so it
 // must not be a syscall: CLOCK_THREAD_CPUTIME_ID costs ~250 ns per
 // read on a virtualized host (no vDSO path), which at two reads per
@@ -29,6 +25,10 @@ std::int64_t slice_clock_ns() {
     return static_cast<std::int64_t>(
         static_cast<double>(util::ticks()) * ns_per_tick);
 }
+
+namespace {
+
+thread_local Worker* t_worker = nullptr;
 
 constexpr auto kThreadSlice = std::chrono::milliseconds(5);
 
@@ -108,12 +108,23 @@ void WaitToken::park_until(std::chrono::steady_clock::time_point deadline) {
     }
     // Thread mode: legacy 5 ms liveness slice so dead-peer/poison
     // re-checks happen even without targeted wakeups.
-    std::unique_lock lk(mu_);
-    const auto slice = std::chrono::steady_clock::now() + kThreadSlice;
-    cv_.wait_until(lk, std::min(deadline, slice), [this] {
-        return state_.load(std::memory_order_relaxed) == kNotified;
-    });
-    state_.store(kIdle, std::memory_order_relaxed);
+    if (unparked_ != nullptr) unparked_->pause(slice_clock_ns());
+    {
+        std::unique_lock lk(mu_);
+        const auto slice = std::chrono::steady_clock::now() + kThreadSlice;
+        cv_.wait_until(lk, std::min(deadline, slice), [this] {
+            return state_.load(std::memory_order_relaxed) == kNotified;
+        });
+        state_.store(kIdle, std::memory_order_relaxed);
+    }
+    if (unparked_ != nullptr) unparked_->resume(slice_clock_ns());
+}
+
+void WaitToken::track_unparked(UnparkedClock* clock) {
+    const std::int64_t now = slice_clock_ns();
+    if (unparked_ != nullptr) unparked_->pause(now);
+    unparked_ = clock;
+    if (unparked_ != nullptr) unparked_->resume(now);
 }
 
 void WaitToken::unpark() {
@@ -415,15 +426,25 @@ void Scheduler::worker_main(Worker& w) {
 void Scheduler::run_one(Worker& w, Fiber* f) {
     w.current = f;
     f->slice_cpu_start_ = slice_clock_ns();
+    // A tracked fiber's unparked time runs from a switch-in to its next
+    // park, both taken from the slice stamps (no clock read of its own);
+    // a yield leaves it running.  The slice may attach or detach the
+    // clock (WaitToken::track_unparked), so it is read on each side.
+    if (UnparkedClock* u = f->token_->unparked_) u->resume(f->slice_cpu_start_);
     const instr::ThreadContext worker_ctx =
         instr::exchange_thread_context(f->ictx_);
     void* r = transfer(w.sched_ctx, f->ctx_, f, /*from_dying=*/false);
     f->ictx_ = instr::exchange_thread_context(worker_ctx);
-    if (f->cpu_sink_ != nullptr)
-        f->cpu_sink_->fetch_add(slice_clock_ns() - f->slice_cpu_start_,
-                                std::memory_order_relaxed);
+    const auto op = static_cast<SwitchOp>(reinterpret_cast<std::uintptr_t>(r));
+    UnparkedClock* const unparked = op == SwitchOp::Park ? f->token_->unparked_ : nullptr;
+    if (f->cpu_sink_ != nullptr || unparked != nullptr) {
+        const std::int64_t out = slice_clock_ns();
+        if (f->cpu_sink_ != nullptr)
+            f->cpu_sink_->fetch_add(out - f->slice_cpu_start_, std::memory_order_relaxed);
+        if (unparked != nullptr) unparked->pause(out);
+    }
     w.current = nullptr;
-    switch (static_cast<SwitchOp>(reinterpret_cast<std::uintptr_t>(r))) {
+    switch (op) {
         case SwitchOp::Park:
             finalize_park(w, f);
             break;
@@ -554,13 +575,8 @@ bool on_fiber() {
 }
 
 void sleep_for(std::chrono::nanoseconds d) {
-    Worker* w = t_worker;
-    if (w == nullptr || w->current == nullptr) {
-        std::this_thread::sleep_for(d);
-        return;
-    }
     const auto end = std::chrono::steady_clock::now() + d;
-    const auto& tok = w->current->token();
+    const auto& tok = current_wait_token();
     while (std::chrono::steady_clock::now() < end) tok->park_until(end);
 }
 

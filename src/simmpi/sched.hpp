@@ -49,6 +49,46 @@ namespace m2p::simmpi::sched {
 
 class WaitToken;
 
+/// The clock fiber slices and UnparkedClock transitions are stamped
+/// with: calibrated TSC nanoseconds (a few ns per read, no syscall).
+std::int64_t slice_clock_ns();
+
+/// How long a rank has asked for CPU: the wall time since it started
+/// during which it was neither parked on its WaitToken nor finished
+/// (the Performance Consultant sizes CPUBound's capacity by it).  Only
+/// the owning context moves it -- the fiber scheduler from the stamps
+/// it already takes at switch-in and switch-out, thread mode around its
+/// condvar wait -- with one relaxed load and store, no locked RMW.  One
+/// word holds the running flag and the base, so a reader on any thread
+/// never sees the two torn.
+class UnparkedClock {
+public:
+    /// Owner only: start (or resume) asking for CPU at @p now_ns.
+    /// No-op while already running.
+    void resume(std::int64_t now_ns) {
+        const std::int64_t w = word_.load(std::memory_order_relaxed);
+        if ((w & 1) == 0)
+            word_.store((((w >> 1) - now_ns) << 1) | 1, std::memory_order_relaxed);
+    }
+    /// Owner only: park or finish at @p now_ns.  No-op while stopped.
+    void pause(std::int64_t now_ns) {
+        const std::int64_t w = word_.load(std::memory_order_relaxed);
+        if ((w & 1) != 0)
+            word_.store(((w >> 1) + now_ns) << 1, std::memory_order_relaxed);
+    }
+    /// Unparked seconds so far; any thread.
+    double seconds() const {
+        const std::int64_t w = word_.load(std::memory_order_relaxed);
+        const std::int64_t ns = (w & 1) != 0 ? (w >> 1) + slice_clock_ns() : w >> 1;
+        return static_cast<double>(ns) * 1e-9;
+    }
+
+private:
+    /// (base << 1) | running.  Stopped: base is the unparked total.
+    /// Running since t: base is total - t, so the total reads base + now.
+    std::atomic<std::int64_t> word_{0};
+};
+
 /// Wake every token in @p toks with exactly the effect of calling
 /// unpark() on each, but requeue the fibers found Parked in one batch:
 /// from a worker, one push onto its own run queue and one wakeup of
@@ -70,6 +110,14 @@ public:
     /// Wake the owner if parked; otherwise leave a pending notify that
     /// the owner's next park consumes.  Safe from any thread, any time.
     void unpark();
+
+    /// Owner only: charge this context's parks to @p clock, which
+    /// resumes now; null pauses and detaches the current one.  A rank
+    /// brackets its body with the two calls.  On a fiber the clock runs
+    /// from each switch-in to the next park switch-out, so a woken fiber
+    /// still waiting in a run queue counts as parked (no stamp marks its
+    /// unpark).
+    void track_unparked(UnparkedClock* clock);
 
 private:
     friend class Fiber;
@@ -94,6 +142,8 @@ private:
 
     std::atomic<std::uint32_t> state_{kIdle};
     Fiber* fiber_ = nullptr;  ///< set once at fiber creation, else null
+    /// The owner's unparked-time account, or null when nobody tracks it.
+    UnparkedClock* unparked_ = nullptr;
 
     // Thread-mode fallback: plain mutex/condvar with a 5 ms slice cap
     // (the legacy liveness behavior of the thread-per-rank engine).
@@ -243,10 +293,11 @@ const std::shared_ptr<WaitToken>& current_wait_token();
 /// True when called on a fiber stack.
 bool on_fiber();
 
-/// Fiber-aware sleep: parks the fiber with a deadline (the worker runs
-/// other ranks meanwhile); falls back to this_thread::sleep_for off
-/// fiber.  Used for simulated costs (I/O latency, spawn cost, fault
-/// hangs) so a sleeping rank never wedges a worker.
+/// Sleep by parking the calling context's wait token until the
+/// deadline: a fiber's worker runs other ranks meanwhile, and either
+/// engine's rank counts the sleep as parked, not as asking for CPU.
+/// Used for simulated costs (I/O latency, spawn cost, fault hangs) so
+/// a sleeping rank never wedges a worker.
 void sleep_for(std::chrono::nanoseconds d);
 
 template <class Rep, class Period>

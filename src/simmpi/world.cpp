@@ -11,6 +11,7 @@
 
 #include "pvar/export.hpp"
 #include "simmpi/rank.hpp"
+#include "util/clock.hpp"
 
 namespace m2p::simmpi {
 
@@ -332,10 +333,14 @@ void World::run_rank_body(int global_rank, std::vector<std::string> argv,
         // Thread engine: the proc slot is this thread's own; only the
         // publish flags need ordering.
         pthread_getcpuclockid(pthread_self(), &p.cpu_clock);
+        p.os_tid = ::gettid();
         p.cpu_clock_ready = true;
         instr::set_current_rank(global_rank);
         instr::set_thread_call_sink(recorder_.get());
     }
+    // From here until it finishes, the rank's parks (the start gate
+    // included) stop its unparked clock.
+    sched::current_wait_token()->track_unparked(&p.unparked);
     // Start gate: park until released.  Fibers park on their token
     // (release unparks the collected waiters); thread-mode tokens fall
     // back to 5 ms cv slices internally, so the same loop serves both.
@@ -394,6 +399,7 @@ void World::run_rank_body(int global_rank, std::vector<std::string> argv,
             p.final_cpu_seconds = static_cast<double>(ts.tv_sec) +
                                   static_cast<double>(ts.tv_nsec) * 1e-9;
     }
+    sched::current_wait_token()->track_unparked(nullptr);  // finished: asks no CPU
     p.finished = true;  // publishes final_cpu_seconds
     if (!on_fiber) {
         instr::set_thread_call_sink(nullptr);
@@ -730,6 +736,19 @@ double World::proc_cpu_seconds(int global_rank) const {
         // clock read; its final tally is published in that case.
         return p->finished ? p->final_cpu_seconds : 0.0;
     return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+double World::proc_unparked_seconds(int global_rank) const {
+    const ProcData* p = procs_.find(global_rank);
+    return p ? p->unparked.seconds() : 0.0;
+}
+
+double World::proc_user_share(int global_rank) const {
+    if (cfg_.rank_engine == RankEngine::Fiber) return 1.0;
+    const ProcData* p = procs_.find(global_rank);
+    // A finished rank's thread id may already name another thread.
+    if (!p || !p->cpu_clock_ready || p->finished) return -1.0;
+    return util::thread_user_share(p->os_tid);
 }
 
 // ---------------------------------------------------------------------------

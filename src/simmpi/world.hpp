@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/types.h>
+
 #include "instr/registry.hpp"
 #include "pvar/registry.hpp"
 #include "simmpi/faults.hpp"
@@ -325,10 +327,13 @@ struct ProcData {
     Comm comm_world = MPI_COMM_NULL;
     Comm parent_intercomm = MPI_COMM_NULL;  ///< for spawned children
     clockid_t cpu_clock{};   ///< per-thread CPU clock (thread engine only)
-    std::atomic<bool> cpu_clock_ready{false};
+    pid_t os_tid = 0;        ///< kernel thread id (thread engine only)
+    std::atomic<bool> cpu_clock_ready{false};  ///< publishes cpu_clock, os_tid
     /// Fiber engine: CPU nanoseconds accumulated at every fiber
     /// switch-out (the worker charges each slice to the rank it ran).
     std::atomic<std::int64_t> cpu_ns{0};
+    /// Time the rank has asked for CPU (World::proc_unparked_seconds).
+    sched::UnparkedClock unparked;
     std::atomic<bool> finished{false};
     /// CPU seconds at exit (the thread's clock dies with the thread).
     double final_cpu_seconds = 0.0;
@@ -841,6 +846,16 @@ public:
     std::vector<int> live_procs() const;
     /// CPU seconds consumed so far by the process's thread.
     double proc_cpu_seconds(int global_rank) const;
+    /// Wall seconds the process has asked for CPU so far: since it
+    /// started, neither parked on its wait token (blocking MPI calls,
+    /// simulated costs, the start gate) nor finished.
+    double proc_unparked_seconds(int global_rank) const;
+    /// The share of the process's CPU so far that the kernel counted
+    /// as user time: its own thread's split on the thread engine; 1 on
+    /// the fiber engine, whose slices carry no split.  Negative while
+    /// unknown (the thread has not run for a clock tick yet, or has
+    /// finished).
+    double proc_user_share(int global_rank) const;
     bool all_finished() const;
 
     // -- Failure plane -----------------------------------------------------

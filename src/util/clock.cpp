@@ -1,12 +1,17 @@
 #include "util/clock.hpp"
 
 #include <fcntl.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -46,6 +51,37 @@ double process_system_seconds() {
     if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
     return static_cast<double>(ru.ru_stime.tv_sec) +
            static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
+}
+
+double thread_user_share(int os_tid) {
+    char path[64];
+    std::snprintf(path, sizeof path, "/proc/self/task/%d/stat", os_tid);
+    const int fd = ::open(path, O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return -1.0;
+    char buf[1024];
+    const ssize_t n = ::read(fd, buf, sizeof buf - 1);
+    ::close(fd);
+    if (n <= 0) return -1.0;
+    buf[n] = '\0';
+    // The command name (field 2) may hold spaces and parentheses; the
+    // fields after its closing ')' start at field 3, so utime and stime
+    // (fields 14 and 15) are the 12th and 13th.
+    const char* p = std::strrchr(buf, ')');
+    if (p == nullptr) return -1.0;
+    unsigned long long utime = 0, stime = 0;
+    if (std::sscanf(p + 1, " %*s %*s %*s %*s %*s %*s %*s %*s %*s %*s %*s %llu %llu",
+                    &utime, &stime) != 2 ||
+        utime + stime == 0)
+        return -1.0;
+    return static_cast<double>(utime) / static_cast<double>(utime + stime);
+}
+
+unsigned usable_cpu_count() {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0)  // e.g. over CPU_SETSIZE CPUs
+        return std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
 }
 
 void burn_thread_cpu(double seconds) {

@@ -48,6 +48,21 @@ void set_rank_cpu_provider(double (*provider)());
 /// Used only by the system-time PPerfMark program's ground truth.
 double process_system_seconds();
 
+/// The share of thread @p os_tid's (of this process) CPU time so far
+/// that the kernel counted as user time, from its own utime/stime.
+/// The kernel splits a thread's exact runtime by where its clock ticks
+/// landed and reports both parts in 10 ms units, so the share is
+/// unknown -- negative -- until the thread has run for a tick or two,
+/// and also when the thread is gone.  Costs an open and a read of a
+/// /proc file (about 10 us).
+double thread_user_share(int os_tid);
+
+/// CPUs this process may run on: the size of its sched_getaffinity
+/// mask (at least 1; hardware_concurrency if the mask cannot be read).
+/// Unlike std::thread::hardware_concurrency, it honours taskset and
+/// cpusets.
+unsigned usable_cpu_count();
+
 /// Busy-spins until the calling thread has burned @p seconds of CPU
 /// time.  This is PPerfMark's `waste_time`: a purely computational
 /// bottleneck that registers on CPU timers, not on sync timers.

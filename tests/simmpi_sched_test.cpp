@@ -571,5 +571,50 @@ TEST(Sched, ParksPvarIsMonotoneAcrossABarrierLoop) {
     EXPECT_GT(fin.at("sched.batch_wakes"), 0u) << "barrier closers wake in batches";
 }
 
+TEST(Sched, UnparkedSecondsExcludeParksOnBothEngines) {
+    // Each rank runs 60 ms (two wall-clock spins) around a 60 ms sleep:
+    // the sleep parks, so it must not count as asking for CPU, and
+    // neither may the time after the rank finished.  The test thread
+    // reads the counts while the ranks run (TSAN sees both sides).
+    for (const RankEngine engine : {RankEngine::Fiber, RankEngine::Thread}) {
+        instr::Registry reg;
+        World::Config cfg;
+        cfg.rank_engine = engine;
+        cfg.sched_workers = 2;
+        World world(reg, cfg);
+        world.register_program("spin-sleep-spin", [](Rank& r,
+                                                     const std::vector<std::string>&) {
+            const auto spin = [](std::chrono::milliseconds d) {
+                const auto end = clk::now() + d;
+                while (clk::now() < end) {
+                }
+            };
+            r.MPI_Init();
+            spin(30ms);
+            sleep_for(60ms);
+            spin(30ms);
+            r.MPI_Finalize();
+        });
+        LaunchPlan plan;
+        plan.placements.assign(2, "node0");
+        launch(world, "spin-sleep-spin", {}, plan);
+        while (!world.all_finished()) {
+            for (int g = 0; g < 2; ++g) EXPECT_GE(world.proc_unparked_seconds(g), 0.0);
+            std::this_thread::sleep_for(1ms);
+        }
+        world.join_all();
+        for (int g = 0; g < 2; ++g) {
+            const double unparked = world.proc_unparked_seconds(g);
+            EXPECT_GT(unparked, 0.055) << "engine " << static_cast<int>(engine);
+            // Counting the 60 ms sleep would read at least 0.12.
+            EXPECT_LT(unparked, 0.115) << "the sleep counted, engine "
+                                     << static_cast<int>(engine);
+            std::this_thread::sleep_for(20ms);
+            EXPECT_EQ(world.proc_unparked_seconds(g), unparked)
+                << "a finished rank still asks for CPU";
+        }
+    }
+}
+
 }  // namespace
 }  // namespace m2p::simmpi::sched
