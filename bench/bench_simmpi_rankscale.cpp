@@ -63,7 +63,6 @@ double run_workload(simmpi::RankEngine engine, Workload wl, int nranks,
     instr::Registry reg;
     simmpi::World::Config cfg;
     cfg.rank_engine = engine;
-    cfg.coll_algo = simmpi::CollAlgo::Tree;
     cfg.wait_deadline_seconds = 60.0;
     cfg.join_deadline_seconds = 300.0;
     simmpi::World world(reg, cfg);

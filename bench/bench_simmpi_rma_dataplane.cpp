@@ -1,51 +1,17 @@
-// RMA data-plane ablation: per-op cost of the rebuilt one-sided engine
+// RMA data-plane bench: per-op cost of simmpi's one-sided engine
 // (per-target shards, zero-copy direct apply, per-epoch completion
-// tokens, epoch-batched Table-1 counters) against an in-binary replica
-// of the design it replaced, mirrored call for call from the git
-// history of src/simmpi/rank_rma.cpp: one mutex per window with every
-// transfer applied under it after a `members` map lookup, a staging
-// payload copy on every Put/Accumulate (double copy), per-target
-// PassiveLock / Exposure maps consulted under that same mutex,
-// held-lock and access-epoch bookkeeping in per-rank std::maps,
-// blocking syncs that poll in 5 ms liveness slices with a
-// wait_deadline() clock read and a doom check per wake, and per-op
-// atomic counter maintenance on a shared cache line.  Helpers the seed
-// called across translation-unit boundaries (datatype_size, rma_check,
-// rma_transfer_now, fault_point) are noinline here for the same
-// reason: the seed build could not fold them away.
+// tokens, epoch-batched Table-1 counters) across fence-heavy, PSCW,
+// own-target and all-on-one-target lock epochs, and a 16-deep
+// contended lock handoff.  The speedups over the single-mutex design
+// it replaced are recorded in EXPERIMENTS.md; the Table-1 counter
+// contract is pinned by tests/simmpi_rma_matrix_test.cpp.
 //
-// The replica fires the same MPI_/PMPI_ FunctionGuard pairs -- with
-// the same argument arrays, built twice per call as the seed did -- on
-// a real instrumentation Registry, so both sides pay identical
-// tool-facing dispatch costs and the difference isolates the RMA data
-// plane.
-//
-// The graded shape is the 16-rank contended lock handoff: every rank
-// queues on rank 0's exclusive lock, moves 8 bytes, and unlocks.  The
-// legacy design broadcasts notify_all on every unlock, so each
-// handoff wakes all ~15 parked waiters to re-check a predicate only
-// one of them can win -- on a single core that is a scheduler storm
-// per epoch -- while the rebuilt engine's FIFO lock queue wakes
-// exactly the one next holder.  Per-op epoch shapes (fence-heavy,
-// PSCW, per-own-target and all-on-one-target lock epochs with the
-// full transfer payload) are reported ungraded: they show the
-// staging-copy, map-walk, and counter-batching deltas.
-//
-// A counter-identity workload (fence + passive phases mixing all three
-// op kinds) is graded: the replica's per-op counters and the rebuilt
-// engine's epoch-batched totals must agree bit for bit.
-//
-// `--smoke` runs a tiny iteration count and skips the performance
-// thresholds (CI uses it to assert the harness and JSON stay sound).
+// `--smoke` runs a tiny iteration count (CI uses it to assert the
+// harness and JSON stay sound).
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
-#include <condition_variable>
-#include <cstring>
-#include <map>
-#include <mutex>
 #include <thread>
 
 #include "instr/registry.hpp"
@@ -78,593 +44,33 @@ void stamp_max(std::atomic<double>& a, double v) {
     while (v > cur && !a.compare_exchange_weak(cur, v)) {}
 }
 
-// ---------------------------------------------------------------------------
-// Replica of the RMA plane this PR replaced (see git history of
-// src/simmpi/rank_rma.cpp).  Structures and call sequences mirror the
-// seed one for one; only names are shortened.
-// ---------------------------------------------------------------------------
-
-/// The seed's blocking-wait slice: park 5 ms at a time so death /
-/// poison / deadline can be noticed between waits.
-constexpr auto kLivenessSlice = std::chrono::milliseconds(5);
-
-/// Replica datatype handles (the seed's datatype_size switch).
-constexpr int kByteT = 0;
-constexpr int kIntT = 1;
-
-bool contains(const std::vector<int>& v, int x) {
-    return std::find(v.begin(), v.end(), x) != v.end();
-}
-
-std::int64_t as_arg(const void* p) {
-    return static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(p));
-}
-
-/// Cross-TU in the seed, so never inlined there; keep that true here.
-[[gnu::noinline]] std::int64_t legacy_datatype_size(int dt) {
-    switch (dt) {
-        case kByteT: return 1;
-        case kIntT: return 4;
-        default: return 8;
-    }
-}
-
-struct LegacyRmaCounters {
-    std::atomic<std::int64_t> put_ops{0}, get_ops{0}, acc_ops{0};
-    std::atomic<std::int64_t> put_bytes{0}, get_bytes{0}, acc_bytes{0};
-    std::atomic<std::int64_t> rma_ops{0}, rma_bytes{0};  ///< kept per-op, as the seed did
-    std::atomic<std::int64_t> sync_ops{0};
-};
-
-struct LegacyRmaOp {
-    int kind = 0;  ///< 0 put, 1 get, 2 accumulate (int32 sum)
-    int target = -1;
-    std::vector<std::byte> payload;    ///< staging copy (put/acc), as the seed made
-    std::byte* origin_addr = nullptr;  ///< get destination
-    std::int64_t disp = 0, nbytes = 0;
-};
-
-struct LegacyWinMember {
-    std::byte* base = nullptr;
-    std::int64_t size = 0;
-    int disp_unit = 1;
-};
-
-struct LegacyPassiveLock {
-    bool exclusive = false;
-    int shared_holders = 0;
-    std::condition_variable cv;
-};
-
-struct LegacyExposure {
-    bool exposed = false;
-    std::vector<int> group;
-    std::vector<int> started;
-    int completes = 0;
-    std::condition_variable cv;
-};
-
-/// The seed's per-process fault_point state (last MPI call + call
-/// count), stored per replica rank.
-struct LegacyProc {
-    std::atomic<const char*> last_call{nullptr};
-    std::atomic<std::uint64_t> calls{0};
-};
-
-struct LegacyRmaWin {
-    LegacyRmaWin(std::vector<std::byte*> bases, std::int64_t bytes, int nranks)
-        : n(nranks), procs(static_cast<std::size_t>(nranks)) {
-        for (int r = 0; r < nranks; ++r)
-            members[r] =
-                LegacyWinMember{bases[static_cast<std::size_t>(r)], bytes, 1};
-    }
-
-    std::mutex mu;  ///< the one per-window mutex everything serializes on
-    std::condition_variable fence_cv;
-    std::map<int, LegacyWinMember> members;  ///< walked per transfer, under mu
-    int n;
-    int fence_count = 0;
-    std::uint64_t fence_gen = 0;
-    std::map<int, LegacyPassiveLock> locks;       ///< per-target, under mu
-    std::map<int, LegacyExposure> exposures;      ///< per-target, under mu
-    std::map<int, std::vector<LegacyRmaOp>> deferred;  ///< per-origin start-epoch queue
-    std::atomic<int> poisoned{0};                 ///< world poison flag every doom check loads
-    std::atomic<std::uint64_t> death_epoch{0};    ///< world death epoch ditto
-    std::atomic<std::uint64_t> handle_gen{1};     ///< win_valid() slot-liveness load
-    std::vector<LegacyProc> procs;
-    LegacyRmaCounters ctr;
-};
-
-/// Per-rank bookkeeping the seed kept as Rank member maps.
-struct LegacyRankState {
-    std::map<int, std::vector<int>> start_epochs;  ///< win -> access-epoch targets
-    std::map<int, std::vector<int>> held_locks;    ///< win -> locked targets
-};
-
-/// The same Registry type the real stack dispatches through, carrying
-/// the same MPI_/PMPI_ function pair per RMA operation.
-struct RmaFids {
-    instr::Registry reg;
-    instr::FuncId put, pput, get, pget, acc, pacc, fence, pfence, lock, plock,
-        unlock, punlock, start, pstart, complete, pcomplete, post, ppost, wait,
-        pwait;
-    RmaFids()
-        : put(reg.register_function("MPI_Put", "libmpi", 0)),
-          pput(reg.register_function("PMPI_Put", "libmpi", 0)),
-          get(reg.register_function("MPI_Get", "libmpi", 0)),
-          pget(reg.register_function("PMPI_Get", "libmpi", 0)),
-          acc(reg.register_function("MPI_Accumulate", "libmpi", 0)),
-          pacc(reg.register_function("PMPI_Accumulate", "libmpi", 0)),
-          fence(reg.register_function("MPI_Win_fence", "libmpi", 0)),
-          pfence(reg.register_function("PMPI_Win_fence", "libmpi", 0)),
-          lock(reg.register_function("MPI_Win_lock", "libmpi", 0)),
-          plock(reg.register_function("PMPI_Win_lock", "libmpi", 0)),
-          unlock(reg.register_function("MPI_Win_unlock", "libmpi", 0)),
-          punlock(reg.register_function("PMPI_Win_unlock", "libmpi", 0)),
-          start(reg.register_function("MPI_Win_start", "libmpi", 0)),
-          pstart(reg.register_function("PMPI_Win_start", "libmpi", 0)),
-          complete(reg.register_function("MPI_Win_complete", "libmpi", 0)),
-          pcomplete(reg.register_function("PMPI_Win_complete", "libmpi", 0)),
-          post(reg.register_function("MPI_Win_post", "libmpi", 0)),
-          ppost(reg.register_function("PMPI_Win_post", "libmpi", 0)),
-          wait(reg.register_function("MPI_Win_wait", "libmpi", 0)),
-          pwait(reg.register_function("PMPI_Win_wait", "libmpi", 0)) {}
-};
-
-/// Seed Rank::fault_point: stamp last_call, bump the call counter,
-/// check world poison, bail early on a null fault plan.
-[[gnu::noinline]] void legacy_fault_point(LegacyRmaWin& w, int me,
-                                          const char* name) {
-    LegacyProc& p = w.procs[static_cast<std::size_t>(me)];
-    p.last_call.store(name, std::memory_order_relaxed);
-    p.calls.fetch_add(1, std::memory_order_relaxed);
-    if (w.poisoned.load(std::memory_order_acquire) != 0) std::abort();
-    // No FaultPlan in the bench world: the seed early-returns here.
-}
-
-/// Seed World::win_valid: handle-table slot liveness load.
-[[gnu::noinline]] bool legacy_win_valid(const LegacyRmaWin& w) {
-    return w.handle_gen.load(std::memory_order_acquire) != 0;
-}
-
-/// Seed wait_deadline(): one clock read per blocking sync call.
-std::chrono::steady_clock::time_point legacy_wait_deadline() {
-    return std::chrono::steady_clock::now() + std::chrono::seconds(5);
-}
-
-/// Seed Rank::rma_check: four datatype_size calls, displacement and
-/// byte-count validation, target bounds against the comm group.
-[[gnu::noinline]] int legacy_rma_check(const LegacyRmaWin& w, int ocount, int odt,
-                                       int trank, std::int64_t tdisp, int tcount,
-                                       int tdt) {
-    if (ocount < 0 || tcount < 0) return 1;
-    if (legacy_datatype_size(odt) <= 0 || legacy_datatype_size(tdt) <= 0) return 2;
-    if (tdisp < 0) return 3;
-    const std::int64_t obytes = ocount * legacy_datatype_size(odt);
-    const std::int64_t tbytes = tcount * legacy_datatype_size(tdt);
-    if (obytes != tbytes) return 4;
-    if (trank < 0 || trank >= w.n) return 5;
-    return 0;
-}
-
-/// Applies one op; caller does NOT hold the mutex.  Seed
-/// rma_transfer_now: take the window mutex, walk the members map,
-/// bounds-check, copy.  Put/Accumulate pay their second copy here
-/// (staging buffer -> window); Get is a single copy.
-[[gnu::noinline]] int legacy_transfer_now(LegacyRmaWin& w, LegacyRmaOp op) {
-    std::lock_guard lk(w.mu);
-    auto mit = w.members.find(op.target);
-    if (mit == w.members.end()) return 1;
-    LegacyWinMember& m = mit->second;
-    const std::int64_t off = op.disp * m.disp_unit;
-    if (off < 0 || off + op.nbytes > m.size) return 2;
-    std::byte* at = m.base + off;
-    const auto nb = static_cast<std::size_t>(op.nbytes);
-    if (op.kind == 0) {
-        std::memcpy(at, op.payload.data(), nb);
-    } else if (op.kind == 1) {
-        std::memcpy(op.origin_addr, at, nb);
-    } else {
-        const auto* s = reinterpret_cast<const std::int32_t*>(op.payload.data());
-        auto* d = reinterpret_cast<std::int32_t*>(at);
-        for (std::int64_t i = 0; i < op.nbytes / 4; ++i) d[i] += s[i];
-    }
-    return 0;
-}
-
-/// Applies a deferred op in place; caller holds the mutex (the seed's
-/// Win_complete drain body).
-void legacy_apply_locked(LegacyRmaWin& w, const LegacyRmaOp& op) {
-    LegacyWinMember& m = w.members.at(op.target);
-    std::byte* at = m.base + op.disp * m.disp_unit;
-    const auto nb = static_cast<std::size_t>(op.nbytes);
-    if (op.kind == 0) {
-        std::memcpy(at, op.payload.data(), nb);
-    } else if (op.kind == 1) {
-        std::memcpy(op.origin_addr, at, nb);
-    } else {
-        const auto* s = reinterpret_cast<const std::int32_t*>(op.payload.data());
-        auto* d = reinterpret_cast<std::int32_t*>(at);
-        for (std::int64_t i = 0; i < op.nbytes / 4; ++i) d[i] += s[i];
-    }
-}
-
-void legacy_put(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me,
-                int target, const void* src, int count, int dt,
-                std::int64_t disp) {
-    const std::int64_t a[] = {as_arg(src), count, dt, target, disp, count, dt, 0};
-    instr::FunctionGuard g(f.reg, f.put, a);
-    legacy_fault_point(w, me, "MPI_Put");
-    const std::int64_t pa[] = {as_arg(src), count, dt, target, disp, count, dt, 0};
-    instr::FunctionGuard pg(f.reg, f.pput, pa);
-    if (!legacy_win_valid(w)) return;
-    if (legacy_rma_check(w, count, dt, target, disp, count, dt) != 0) return;
-    LegacyRmaOp op;
-    op.kind = 0;
-    op.target = target;
-    op.disp = disp;
-    op.nbytes = count * legacy_datatype_size(dt);
-    op.payload.assign(static_cast<const std::byte*>(src),
-                      static_cast<const std::byte*>(src) + op.nbytes);
-    const std::int64_t nbytes = op.nbytes;
-    const auto ep = rs.start_epochs.find(0);
-    if (ep != rs.start_epochs.end() && contains(ep->second, target)) {
-        std::lock_guard lk(w.mu);
-        w.deferred[me].push_back(std::move(op));
-    } else {
-        legacy_transfer_now(w, std::move(op));
-    }
-    // Four shared-cache-line RMWs per op, as the seed accounted.
-    w.ctr.put_ops.fetch_add(1);
-    w.ctr.put_bytes.fetch_add(nbytes);
-    w.ctr.rma_ops.fetch_add(1);
-    w.ctr.rma_bytes.fetch_add(nbytes);
-}
-
-void legacy_get(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me,
-                int target, void* dst, int count, int dt, std::int64_t disp) {
-    const std::int64_t a[] = {as_arg(dst), count, dt, target, disp, count, dt, 0};
-    instr::FunctionGuard g(f.reg, f.get, a);
-    legacy_fault_point(w, me, "MPI_Get");
-    const std::int64_t pa[] = {as_arg(dst), count, dt, target, disp, count, dt, 0};
-    instr::FunctionGuard pg(f.reg, f.pget, pa);
-    if (!legacy_win_valid(w)) return;
-    if (legacy_rma_check(w, count, dt, target, disp, count, dt) != 0) return;
-    LegacyRmaOp op;
-    op.kind = 1;
-    op.target = target;
-    op.disp = disp;
-    op.nbytes = count * legacy_datatype_size(dt);
-    op.origin_addr = static_cast<std::byte*>(dst);
-    const std::int64_t nbytes = op.nbytes;
-    const auto ep = rs.start_epochs.find(0);
-    if (ep != rs.start_epochs.end() && contains(ep->second, target)) {
-        std::lock_guard lk(w.mu);
-        w.deferred[me].push_back(std::move(op));
-    } else {
-        legacy_transfer_now(w, std::move(op));
-    }
-    w.ctr.get_ops.fetch_add(1);
-    w.ctr.get_bytes.fetch_add(nbytes);
-    w.ctr.rma_ops.fetch_add(1);
-    w.ctr.rma_bytes.fetch_add(nbytes);
-}
-
-void legacy_acc(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me,
-                int target, const void* src, int count, int dt,
-                std::int64_t disp) {
-    const std::int64_t a[] = {as_arg(src), count, dt, target, disp, count, dt, 0};
-    instr::FunctionGuard g(f.reg, f.acc, a);
-    legacy_fault_point(w, me, "MPI_Accumulate");
-    const std::int64_t pa[] = {as_arg(src), count, dt, target, disp, count, dt, 0};
-    instr::FunctionGuard pg(f.reg, f.pacc, pa);
-    if (!legacy_win_valid(w)) return;
-    if (legacy_rma_check(w, count, dt, target, disp, count, dt) != 0) return;
-    LegacyRmaOp op;
-    op.kind = 2;
-    op.target = target;
-    op.disp = disp;
-    op.nbytes = count * legacy_datatype_size(dt);
-    op.payload.assign(static_cast<const std::byte*>(src),
-                      static_cast<const std::byte*>(src) + op.nbytes);
-    const std::int64_t nbytes = op.nbytes;
-    const auto ep = rs.start_epochs.find(0);
-    if (ep != rs.start_epochs.end() && contains(ep->second, target)) {
-        std::lock_guard lk(w.mu);
-        w.deferred[me].push_back(std::move(op));
-    } else {
-        legacy_transfer_now(w, std::move(op));
-    }
-    w.ctr.acc_ops.fetch_add(1);
-    w.ctr.acc_bytes.fetch_add(nbytes);
-    w.ctr.rma_ops.fetch_add(1);
-    w.ctr.rma_bytes.fetch_add(nbytes);
-}
-
-/// Seed MPICH2 fence: internal counter under the window mutex, waiters
-/// parked in 5 ms liveness slices with a doom check per wake.
-void legacy_fence(LegacyRmaWin& w, RmaFids& f, int me) {
-    const std::int64_t a[] = {0, 0};
-    instr::FunctionGuard g(f.reg, f.fence, a);
-    legacy_fault_point(w, me, "MPI_Win_fence");
-    const std::int64_t pa[] = {0, 0};
-    instr::FunctionGuard pg(f.reg, f.pfence, pa);
-    if (!legacy_win_valid(w)) return;
-    const auto deadline = legacy_wait_deadline();
-    {
-        std::unique_lock lk(w.mu);
-        const std::uint64_t gen = w.fence_gen;
-        if (++w.fence_count == w.n) {
-            w.fence_count = 0;
-            ++w.fence_gen;
-            w.fence_cv.notify_all();  // the closer broadcasts to every parked rank
-        } else {
-            while (w.fence_gen == gen) {
-                w.fence_cv.wait_for(lk, kLivenessSlice);
-                if (w.fence_gen != gen) break;
-                const bool doomed =
-                    w.poisoned.load(std::memory_order_acquire) != 0 ||
-                    w.death_epoch.load(std::memory_order_acquire) != 0 ||
-                    std::chrono::steady_clock::now() >= deadline;
-                if (doomed) {
-                    --w.fence_count;
-                    return;
-                }
-            }
-        }
-    }
-    w.ctr.sync_ops.fetch_add(1);
-}
-
-void legacy_lock(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me,
-                 int target) {
-    const std::int64_t a[] = {1 /*exclusive*/, target, 0, 0};
-    instr::FunctionGuard g(f.reg, f.lock, a);
-    legacy_fault_point(w, me, "MPI_Win_lock");
-    const std::int64_t pa[] = {1, target, 0, 0};
-    instr::FunctionGuard pg(f.reg, f.plock, pa);
-    if (!legacy_win_valid(w)) return;
-    if (target < 0 || target >= w.n) return;
-    if (w.death_epoch.load(std::memory_order_acquire) != 0) return;
-    const auto deadline = legacy_wait_deadline();
-    {
-        std::unique_lock lk(w.mu);
-        LegacyPassiveLock& pl = w.locks[target];  // per-target map walk, under mu
-        const auto available = [&] { return !pl.exclusive && pl.shared_holders == 0; };
-        while (!available()) {
-            pl.cv.wait_for(lk, kLivenessSlice);
-            if (available()) break;
-            const bool doomed =
-                w.poisoned.load(std::memory_order_acquire) != 0 ||
-                w.death_epoch.load(std::memory_order_acquire) != 0 ||
-                std::chrono::steady_clock::now() >= deadline;
-            if (doomed) return;
-        }
-        pl.exclusive = true;
-        rs.held_locks[0].push_back(target);  // per-rank held-lock bookkeeping
-    }
-    w.ctr.sync_ops.fetch_add(1);
-}
-
-void legacy_unlock(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me,
-                   int target) {
-    const std::int64_t a[] = {target, 0};
-    instr::FunctionGuard g(f.reg, f.unlock, a);
-    legacy_fault_point(w, me, "MPI_Win_unlock");
-    const std::int64_t pa[] = {target, 0};
-    instr::FunctionGuard pg(f.reg, f.punlock, pa);
-    if (!legacy_win_valid(w)) return;
-    if (target < 0 || target >= w.n) return;
-    auto held = rs.held_locks.find(0);
-    if (held == rs.held_locks.end()) return;
-    auto ht = std::find(held->second.begin(), held->second.end(), target);
-    if (ht == held->second.end()) return;  // unlock without lock
-    held->second.erase(ht);
-    {
-        std::lock_guard lk(w.mu);
-        LegacyPassiveLock& pl = w.locks[target];
-        if (pl.exclusive)
-            pl.exclusive = false;
-        else if (pl.shared_holders > 0)
-            --pl.shared_holders;
-        pl.cv.notify_all();  // every waiter on this target wakes to re-check
-    }
-    w.ctr.sync_ops.fetch_add(1);
-}
-
-/// Seed MPICH2 Win_start: record the access epoch, defer everything to
-/// Win_complete.
-void legacy_start(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me,
-                  int target) {
-    const std::int64_t a[] = {0, 0, 0};
-    instr::FunctionGuard g(f.reg, f.start, a);
-    legacy_fault_point(w, me, "MPI_Win_start");
-    const std::int64_t pa[] = {0, 0, 0};
-    instr::FunctionGuard pg(f.reg, f.pstart, pa);
-    if (!legacy_win_valid(w)) return;
-    if (rs.start_epochs.count(0)) return;  // already in an access epoch
-    rs.start_epochs[0] = {target};
-    w.ctr.sync_ops.fetch_add(1);
-}
-
-/// Seed MPICH2 Win_complete: slice-wait for the target's exposure
-/// epoch, then drain this origin's deferred queue under the window
-/// mutex with an erase-per-match pass.
-void legacy_complete(LegacyRmaWin& w, RmaFids& f, LegacyRankState& rs, int me) {
-    const std::int64_t a[] = {0};
-    instr::FunctionGuard g(f.reg, f.complete, a);
-    legacy_fault_point(w, me, "MPI_Win_complete");
-    const std::int64_t pa[] = {0};
-    instr::FunctionGuard pg(f.reg, f.pcomplete, pa);
-    if (!legacy_win_valid(w)) return;
-    const auto it = rs.start_epochs.find(0);
-    if (it == rs.start_epochs.end()) return;
-    const std::vector<int> targets = it->second;
-    rs.start_epochs.erase(it);
-    const auto deadline = legacy_wait_deadline();
-    {
-        std::unique_lock lk(w.mu);
-        for (int t : targets) {
-            LegacyExposure& e = w.exposures[t];
-            const auto exposed_to_us = [&] {
-                return e.exposed && contains(e.group, me) &&
-                       !contains(e.started, me);
-            };
-            while (!exposed_to_us()) {
-                e.cv.wait_for(lk, kLivenessSlice);
-                if (exposed_to_us()) break;
-                const bool doomed =
-                    w.poisoned.load(std::memory_order_acquire) != 0 ||
-                    w.death_epoch.load(std::memory_order_acquire) != 0 ||
-                    std::chrono::steady_clock::now() >= deadline;
-                if (doomed) return;
-            }
-            e.started.push_back(me);
-            auto& ops = w.deferred[me];
-            for (auto op_it = ops.begin(); op_it != ops.end();) {
-                if (op_it->target == t) {
-                    legacy_apply_locked(w, *op_it);
-                    op_it = ops.erase(op_it);
-                } else {
-                    ++op_it;
-                }
-            }
-            ++e.completes;
-            e.cv.notify_all();
-        }
-    }
-    w.ctr.sync_ops.fetch_add(1);
-}
-
-void legacy_post(LegacyRmaWin& w, RmaFids& f, int me,
-                 const std::vector<int>& origins) {
-    const std::int64_t a[] = {0, 0, 0};
-    instr::FunctionGuard g(f.reg, f.post, a);
-    legacy_fault_point(w, me, "MPI_Win_post");
-    const std::int64_t pa[] = {0, 0, 0};
-    instr::FunctionGuard pg(f.reg, f.ppost, pa);
-    if (!legacy_win_valid(w)) return;
-    std::lock_guard lk(w.mu);
-    LegacyExposure& e = w.exposures[me];
-    if (e.exposed) return;  // exposure epoch already open
-    e.exposed = true;
-    e.group = origins;
-    e.started.clear();
-    e.completes = 0;
-    e.cv.notify_all();
-    // Win_post is not in the sync-op funcset (tool contract).
-}
-
-void legacy_wait(LegacyRmaWin& w, RmaFids& f, int me) {
-    const std::int64_t a[] = {0};
-    instr::FunctionGuard g(f.reg, f.wait, a);
-    legacy_fault_point(w, me, "MPI_Win_wait");
-    const std::int64_t pa[] = {0};
-    instr::FunctionGuard pg(f.reg, f.pwait, pa);
-    if (!legacy_win_valid(w)) return;
-    const auto deadline = legacy_wait_deadline();
-    {
-        std::unique_lock lk(w.mu);
-        LegacyExposure& e = w.exposures[me];
-        if (!e.exposed) return;  // no matching MPI_Win_post
-        while (e.completes < static_cast<int>(e.group.size())) {
-            e.cv.wait_for(lk, kLivenessSlice);
-            if (e.completes >= static_cast<int>(e.group.size())) break;
-            const bool doomed =
-                w.poisoned.load(std::memory_order_acquire) != 0 ||
-                w.death_epoch.load(std::memory_order_acquire) != 0 ||
-                std::chrono::steady_clock::now() >= deadline;
-            if (doomed) return;
-        }
-        e.exposed = false;
-        e.started.clear();
-        e.completes = 0;
-        e.cv.notify_all();
-    }
-    w.ctr.sync_ops.fetch_add(1);
-}
-
-/// Spins up @p n legacy "ranks" (plain threads over one LegacyRmaWin),
-/// runs @p body(me) between two barriers, and returns wall seconds of
-/// the bracketed section (thread 0 takes both stamps, as the real side
-/// does).  Each rank's window memory is @p win_bytes.
-double legacy_run(int n, std::int64_t win_bytes,
-                  std::function<void(LegacyRmaWin&, RmaFids&, int)> body,
-                  LegacyRmaCounters* out = nullptr) {
-    std::vector<std::vector<std::byte>> mems(static_cast<std::size_t>(n));
-    std::vector<std::byte*> bases;
-    for (auto& m : mems) {
-        m.assign(static_cast<std::size_t>(win_bytes), std::byte{0});
-        bases.push_back(m.data());
-    }
-    LegacyRmaWin w(std::move(bases), win_bytes, n);
-    RmaFids fids;
-    std::barrier sync(n);
-    std::atomic<double> t0{0.0}, t1{0.0};
-    std::vector<std::thread> ts;
-    ts.reserve(static_cast<std::size_t>(n));
-    for (int me = 0; me < n; ++me)
-        ts.emplace_back([&, me] {
-            sync.arrive_and_wait();
-            stamp_min(t0, wall_seconds());
-            body(w, fids, me);
-            stamp_max(t1, wall_seconds());
-            sync.arrive_and_wait();
-        });
-    for (auto& t : ts) t.join();
-    if (out) {
-        out->put_ops = w.ctr.put_ops.load();
-        out->get_ops = w.ctr.get_ops.load();
-        out->acc_ops = w.ctr.acc_ops.load();
-        out->put_bytes = w.ctr.put_bytes.load();
-        out->get_bytes = w.ctr.get_bytes.load();
-        out->acc_bytes = w.ctr.acc_bytes.load();
-        out->rma_ops = w.ctr.rma_ops.load();
-        out->rma_bytes = w.ctr.rma_bytes.load();
-        out->sync_ops = w.ctr.sync_ops.load();
-    }
-    return t1.load() - t0.load();
-}
-
-/// Runs @p body on @p n real ranks (MPICH flavor: counter fence and
-/// staged PSCW, the paths this PR rebuilt) and returns wall seconds
-/// between the two timing stamps the body publishes via t0/t1.
-struct RealRun {
-    double seconds = 0.0;
-    simmpi::RmaCounterSnapshot counters;
-};
-
-RealRun real_run(int n,
-                 std::function<void(simmpi::Rank&, int, std::atomic<double>&,
-                                    std::atomic<double>&, std::atomic<simmpi::Win>&)>
-                     body) {
+/// Runs @p body on @p n ranks (MPICH flavor: counter fence and staged
+/// PSCW) and returns wall seconds between the two timing stamps the
+/// body publishes via t0/t1.
+double timed_run(int n, std::function<void(simmpi::Rank&, int, std::atomic<double>&,
+                                          std::atomic<double>&)>
+                           body) {
     instr::Registry reg;
     simmpi::World::Config cfg;
     cfg.flavor = simmpi::Flavor::Mpich;
     simmpi::World world(reg, cfg);
     std::atomic<double> t0{0.0}, t1{0.0};
-    std::atomic<simmpi::Win> win_out{simmpi::MPI_WIN_NULL};
     world.register_program("rma", [&](simmpi::Rank& r, const std::vector<std::string>&) {
         r.MPI_Init();
         int me = 0;
         r.MPI_Comm_rank(r.MPI_COMM_WORLD(), &me);
-        body(r, me, t0, t1, win_out);
+        body(r, me, t0, t1);
         r.MPI_Finalize();
     });
     simmpi::LaunchPlan plan;
     for (int i = 0; i < n; ++i) plan.placements.push_back("node0");
     simmpi::launch(world, "rma", {}, plan);
     world.join_all();
-    RealRun out;
-    out.seconds = t1.load() - t0.load();
-    if (win_out.load() != simmpi::MPI_WIN_NULL)
-        out.counters = world.win_rma_counters(win_out.load());
-    return out;
+    return t1.load() - t0.load();
 }
 
 // ---------------------------------------------------------------------------
-// Workload shapes.  Each exists twice with identical op sequences --
-// once over the legacy replica, once over the real stack.
+// Workload shapes.
 // ---------------------------------------------------------------------------
 
 constexpr int kFencePuts = 8;      ///< puts per rank per fence epoch
@@ -674,25 +80,9 @@ constexpr int kPscwBytes = 256;    ///< bytes per PSCW put
 constexpr int kLockPuts = 4;       ///< puts per lock epoch
 constexpr int kLockBytes = 256;    ///< bytes per lock-epoch put/get
 
-double legacy_fence_run(int n, long epochs) {
-    return legacy_run(n, kFencePuts * kFenceBytes, [&](LegacyRmaWin& w, RmaFids& f,
-                                                       int me) {
-        LegacyRankState rs;
-        std::vector<std::byte> src(kFenceBytes, std::byte{3});
-        const int t = (me + 1) % n;
-        legacy_fence(w, f, me);
-        for (long e = 0; e < epochs; ++e) {
-            for (int j = 0; j < kFencePuts; ++j)
-                legacy_put(w, f, rs, me, t, src.data(), kFenceBytes, kByteT,
-                           j * kFenceBytes);
-            legacy_fence(w, f, me);
-        }
-    });
-}
-
-double real_fence_run(int n, long epochs) {
-    return real_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
-                           std::atomic<double>& t1, std::atomic<simmpi::Win>&) {
+double fence_run(int n, long epochs) {
+    return timed_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
+                           std::atomic<double>& t1) {
                const simmpi::Comm w = r.MPI_COMM_WORLD();
                std::vector<std::byte> mem(kFencePuts * kFenceBytes, std::byte{0});
                std::vector<std::byte> src(kFenceBytes, std::byte{3});
@@ -712,36 +102,12 @@ double real_fence_run(int n, long epochs) {
                stamp_max(t1, wall_seconds());
                r.MPI_Barrier(w);
                r.MPI_Win_free(&win);
-           })
-        .seconds;
+           });
 }
 
-double legacy_pscw_run(int n, long epochs) {
-    const std::int64_t win_bytes =
-        static_cast<std::int64_t>(n) * kPscwPuts * kPscwBytes;
-    return legacy_run(n, win_bytes, [&](LegacyRmaWin& w, RmaFids& f, int me) {
-        LegacyRankState rs;
-        std::vector<std::byte> src(kPscwBytes, std::byte{4});
-        std::vector<int> origins;
-        for (int i = 1; i < n; ++i) origins.push_back(i);
-        for (long e = 0; e < epochs; ++e) {
-            if (me == 0) {
-                legacy_post(w, f, 0, origins);
-                legacy_wait(w, f, 0);
-            } else {
-                legacy_start(w, f, rs, me, 0);
-                for (int j = 0; j < kPscwPuts; ++j)
-                    legacy_put(w, f, rs, me, 0, src.data(), kPscwBytes, kByteT,
-                               ((me - 1) * kPscwPuts + j) * kPscwBytes);
-                legacy_complete(w, f, rs, me);
-            }
-        }
-    });
-}
-
-double real_pscw_run(int n, long epochs) {
-    return real_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
-                           std::atomic<double>& t1, std::atomic<simmpi::Win>&) {
+double pscw_run(int n, long epochs) {
+    return timed_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
+                           std::atomic<double>& t1) {
                const simmpi::Comm w = r.MPI_COMM_WORLD();
                const std::int64_t win_bytes =
                    static_cast<std::int64_t>(n) * kPscwPuts * kPscwBytes;
@@ -782,34 +148,14 @@ double real_pscw_run(int n, long epochs) {
                r.MPI_Group_free(&eg);
                r.MPI_Group_free(&wg);
                r.MPI_Win_free(&win);
-           })
-        .seconds;
+           });
 }
 
-/// @p storm false: each rank locks its own target (the graded
-/// parallel-epochs shape).  @p storm true: everyone hammers rank 0.
-double legacy_lock_run(int n, long iters, bool storm) {
-    const std::int64_t win_bytes = (kLockPuts + 1) * kLockBytes;
-    return legacy_run(n, win_bytes, [&](LegacyRmaWin& w, RmaFids& f, int me) {
-        LegacyRankState rs;
-        std::vector<std::byte> src(kLockBytes, std::byte{5});
-        std::vector<std::byte> dst(kLockBytes);
-        const int t = storm ? 0 : me;
-        for (long i = 0; i < iters; ++i) {
-            legacy_lock(w, f, rs, me, t);
-            for (int j = 0; j < kLockPuts; ++j)
-                legacy_put(w, f, rs, me, t, src.data(), kLockBytes, kByteT,
-                           j * kLockBytes);
-            legacy_get(w, f, rs, me, t, dst.data(), kLockBytes, kByteT,
-                       kLockPuts * kLockBytes);
-            legacy_unlock(w, f, rs, me, t);
-        }
-    });
-}
-
-double real_lock_run(int n, long iters, bool storm) {
-    return real_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
-                           std::atomic<double>& t1, std::atomic<simmpi::Win>&) {
+/// @p storm false: each rank locks its own target (parallel epochs).
+/// @p storm true: everyone hammers rank 0.
+double lock_run(int n, long iters, bool storm) {
+    return timed_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
+                           std::atomic<double>& t1) {
                const simmpi::Comm w = r.MPI_COMM_WORLD();
                const std::int64_t win_bytes = (kLockPuts + 1) * kLockBytes;
                std::vector<std::byte> mem(static_cast<std::size_t>(win_bytes),
@@ -835,36 +181,18 @@ double real_lock_run(int n, long iters, bool storm) {
                stamp_max(t1, wall_seconds());
                r.MPI_Barrier(w);
                r.MPI_Win_free(&win);
-           })
-        .seconds;
+           });
 }
 
-/// The graded contended-handoff shape: all 16 ranks queue on rank 0's
+/// The contended-handoff shape: all 16 ranks queue on rank 0's
 /// exclusive lock; each epoch puts 8 bytes and yields once while
-/// holding the lock (standing in for in-critical-section work, paid
-/// identically on both sides) so waiters genuinely park instead of
-/// always finding the lock free on a single-core host.  Every unlock
-/// then exercises the handoff machinery: the legacy design broadcasts
-/// notify_all to every parked waiter -- ~15 wakeups, each re-taking
-/// the window mutex to re-check a predicate only one can win, each
-/// paying a doom-check clock read -- where the rebuilt engine's FIFO
-/// queue hands the lock to exactly the one next waiter.
-double legacy_handoff_run(int n, long iters) {
-    return legacy_run(n, 8, [&](LegacyRmaWin& w, RmaFids& f, int me) {
-        LegacyRankState rs;
-        std::int64_t v = me;
-        for (long i = 0; i < iters; ++i) {
-            legacy_lock(w, f, rs, me, 0);
-            legacy_put(w, f, rs, me, 0, &v, 8, kByteT, 0);
-            std::this_thread::yield();
-            legacy_unlock(w, f, rs, me, 0);
-        }
-    });
-}
-
-double real_handoff_run(int n, long iters) {
-    return real_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
-                           std::atomic<double>& t1, std::atomic<simmpi::Win>&) {
+/// holding the lock (standing in for in-critical-section work) so
+/// waiters genuinely park instead of always finding the lock free on a
+/// single-core host.  Every unlock then exercises the handoff: the FIFO
+/// lock queue hands the lock to exactly the one next waiter.
+double handoff_run(int n, long iters) {
+    return timed_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
+                           std::atomic<double>& t1) {
                const simmpi::Comm w = r.MPI_COMM_WORLD();
                std::int64_t mem = 0, v = me;
                simmpi::Win win = simmpi::MPI_WIN_NULL;
@@ -881,220 +209,81 @@ double real_handoff_run(int n, long iters) {
                stamp_max(t1, wall_seconds());
                r.MPI_Barrier(w);
                r.MPI_Win_free(&win);
-           })
-        .seconds;
-}
-
-// ---------------------------------------------------------------------------
-// Counter identity: the same mixed workload (fence epochs with puts,
-// gets, and accumulates, then passive lock epochs) on both planes must
-// produce bit-identical Table-1 integer totals -- the legacy side
-// counting per op, the rebuilt side batching per epoch.
-// ---------------------------------------------------------------------------
-
-void legacy_identity_workload(LegacyRmaWin& w, RmaFids& f, int me, int n,
-                              long fence_epochs, long lock_iters) {
-    LegacyRankState rs;
-    std::vector<std::int32_t> src(2, me), dst(2, 0);
-    const int t = (me + 1) % n;
-    w.ctr.sync_ops.fetch_add(1);  // Win_create
-    legacy_fence(w, f, me);
-    for (long e = 0; e < fence_epochs; ++e) {
-        legacy_put(w, f, rs, me, t, src.data(), 8, kByteT, 0);
-        legacy_put(w, f, rs, me, t, src.data(), 8, kByteT, 8);
-        legacy_get(w, f, rs, me, t, dst.data(), 8, kByteT, 0);
-        legacy_acc(w, f, rs, me, t, src.data(), 2, kIntT, 16);
-        legacy_fence(w, f, me);
-    }
-    for (long i = 0; i < lock_iters; ++i) {
-        legacy_lock(w, f, rs, me, me);
-        legacy_put(w, f, rs, me, me, src.data(), 8, kByteT, 0);
-        legacy_acc(w, f, rs, me, me, src.data(), 2, kIntT, 16);
-        legacy_unlock(w, f, rs, me, me);
-    }
-    w.ctr.sync_ops.fetch_add(1);  // Win_free
-}
-
-simmpi::RmaCounterSnapshot real_identity_workload(int n, long fence_epochs,
-                                                  long lock_iters) {
-    return real_run(n, [&](simmpi::Rank& r, int me, std::atomic<double>& t0,
-                           std::atomic<double>& t1,
-                           std::atomic<simmpi::Win>& win_out) {
-               const simmpi::Comm w = r.MPI_COMM_WORLD();
-               std::vector<std::int32_t> mem(6, 0), src(2, me), dst(2, 0);
-               simmpi::Win win = simmpi::MPI_WIN_NULL;
-               r.MPI_Win_create(mem.data(), 24, 1, simmpi::MPI_INFO_NULL, w, &win);
-               if (me == 0) win_out = win;
-               const int t = (me + 1) % n;
-               if (me == 0) t0 = wall_seconds();
-               r.MPI_Win_fence(0, win);
-               for (long e = 0; e < fence_epochs; ++e) {
-                   r.MPI_Put(src.data(), 8, simmpi::MPI_BYTE, t, 0, 8,
-                             simmpi::MPI_BYTE, win);
-                   r.MPI_Put(src.data(), 8, simmpi::MPI_BYTE, t, 8, 8,
-                             simmpi::MPI_BYTE, win);
-                   r.MPI_Get(dst.data(), 8, simmpi::MPI_BYTE, t, 0, 8,
-                             simmpi::MPI_BYTE, win);
-                   r.MPI_Accumulate(src.data(), 2, simmpi::MPI_INT, t, 16, 2,
-                                    simmpi::MPI_INT, simmpi::MPI_SUM, win);
-                   r.MPI_Win_fence(0, win);
-               }
-               for (long i = 0; i < lock_iters; ++i) {
-                   r.MPI_Win_lock(simmpi::MPI_LOCK_EXCLUSIVE, me, 0, win);
-                   r.MPI_Put(src.data(), 8, simmpi::MPI_BYTE, me, 0, 8,
-                             simmpi::MPI_BYTE, win);
-                   r.MPI_Accumulate(src.data(), 2, simmpi::MPI_INT, me, 16, 2,
-                                    simmpi::MPI_INT, simmpi::MPI_SUM, win);
-                   r.MPI_Win_unlock(me, win);
-               }
-               r.MPI_Win_free(&win);
-               if (me == 0) t1 = wall_seconds();
-           })
-        .counters;
+           });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
-    bench::header("Ablation: simmpi RMA data plane",
-                  smoke ? "smoke mode (harness check only)"
-                        : "per-op epoch cost vs legacy single-mutex design");
+    bench::header("simmpi RMA data plane",
+                  smoke ? "smoke mode (harness check only)" : "per-op epoch cost");
     bench::Grader g;
+    // Record names keep the new_ prefix of the committed history, which
+    // perfbench/README.md cross-references.
     bench::JsonEmitter json("rma");
+    // Best of reps: the scheduling weather on a shared host changes
+    // second to second.
     const int reps = smoke ? 1 : 5;
 
-    // ---- Fence-heavy epochs (reported) ------------------------------------
-    util::TextTable ft({"ranks", "legacy us/op", "new us/op", "speedup"});
+    // ---- Fence-heavy epochs -----------------------------------------------
+    util::TextTable ft({"ranks", "fence us/op"});
     for (const int n : {4, 16}) {
         const long epochs = smoke ? 2 : (n == 4 ? 1000 : 300);
         const double ops =
             static_cast<double>(n) * kFencePuts * static_cast<double>(epochs);
-        double legacy_s = 1e30, real_s = 1e30;
-        for (int rep = 0; rep < reps; ++rep) {
-            legacy_s = std::min(legacy_s, legacy_fence_run(n, epochs));
-            real_s = std::min(real_s, real_fence_run(n, epochs));
-        }
-        const double lus = legacy_s / ops * 1e6, nus = real_s / ops * 1e6;
-        ft.add_row({std::to_string(n), util::fmt(lus, 2), util::fmt(nus, 2),
-                    util::fmt(lus / nus, 2) + "x"});
-        const std::string label = "fence_" + std::to_string(n) + "ranks";
-        json.record("legacy_" + label + "_us_per_op", lus, "us");
-        json.record("new_" + label + "_us_per_op", nus, "us");
-        json.record("speedup_" + label, lus / nus, "x");
+        double best_s = 1e30;
+        for (int rep = 0; rep < reps; ++rep)
+            best_s = std::min(best_s, fence_run(n, epochs));
+        const double us = best_s / ops * 1e6;
+        ft.add_row({std::to_string(n), util::fmt(us, 2)});
+        json.record("new_fence_" + std::to_string(n) + "ranks_us_per_op", us, "us");
     }
     std::printf("%s", ft.render().c_str());
 
-    // ---- PSCW epochs (reported) -------------------------------------------
-    util::TextTable st({"ranks", "legacy us/op", "new us/op", "speedup"});
+    // ---- PSCW epochs ------------------------------------------------------
+    util::TextTable st({"ranks", "PSCW us/op"});
     for (const int n : {4, 8}) {
         const long epochs = smoke ? 2 : (n == 4 ? 800 : 500);
         const double ops = static_cast<double>(n - 1) * kPscwPuts *
                            static_cast<double>(epochs);
-        double legacy_s = 1e30, real_s = 1e30;
-        for (int rep = 0; rep < reps; ++rep) {
-            legacy_s = std::min(legacy_s, legacy_pscw_run(n, epochs));
-            real_s = std::min(real_s, real_pscw_run(n, epochs));
-        }
-        const double lus = legacy_s / ops * 1e6, nus = real_s / ops * 1e6;
-        st.add_row({std::to_string(n), util::fmt(lus, 2), util::fmt(nus, 2),
-                    util::fmt(lus / nus, 2) + "x"});
-        const std::string label = "pscw_" + std::to_string(n) + "ranks";
-        json.record("legacy_" + label + "_us_per_op", lus, "us");
-        json.record("new_" + label + "_us_per_op", nus, "us");
-        json.record("speedup_" + label, lus / nus, "x");
+        double best_s = 1e30;
+        for (int rep = 0; rep < reps; ++rep)
+            best_s = std::min(best_s, pscw_run(n, epochs));
+        const double us = best_s / ops * 1e6;
+        st.add_row({std::to_string(n), util::fmt(us, 2)});
+        json.record("new_pscw_" + std::to_string(n) + "ranks_us_per_op", us, "us");
     }
     std::printf("%s", st.render().c_str());
 
     // ---- Passive-target lock epochs ---------------------------------------
-    // Own-target and all-on-rank-0 storm epochs with the full transfer
-    // payload are reported ungraded; the graded shape is the contended
-    // handoff (16 ranks queued on one exclusive lock, one small put
-    // per epoch), where the legacy notify_all wake storm loses
-    // wall-clock the FIFO handoff does not spend.
-    util::TextTable lt({"shape", "legacy us/op", "new us/op", "speedup"});
+    util::TextTable lt({"shape", "us/op"});
     for (const bool storm : {false, true}) {
         const int n = 16;
         const long iters = smoke ? 3 : (storm ? 200 : 1500);
         const double ops = static_cast<double>(n) * (kLockPuts + 1) *
                            static_cast<double>(iters);
-        double legacy_s = 1e30, real_s = 1e30;
-        for (int rep = 0; rep < (storm && !smoke ? 3 : reps); ++rep) {
-            legacy_s = std::min(legacy_s, legacy_lock_run(n, iters, storm));
-            real_s = std::min(real_s, real_lock_run(n, iters, storm));
-        }
-        const double lus = legacy_s / ops * 1e6, nus = real_s / ops * 1e6;
+        double best_s = 1e30;
+        for (int rep = 0; rep < (storm && !smoke ? 3 : reps); ++rep)
+            best_s = std::min(best_s, lock_run(n, iters, storm));
+        const double us = best_s / ops * 1e6;
         const std::string label = storm ? "lock_storm_16ranks" : "lock_own_16ranks";
-        lt.add_row({storm ? "16 -> rank 0 (storm)" : "16 x own target",
-                    util::fmt(lus, 2), util::fmt(nus, 2),
-                    util::fmt(lus / nus, 2) + "x"});
-        json.record("legacy_" + label + "_us_per_op", lus, "us");
-        json.record("new_" + label + "_us_per_op", nus, "us");
-        json.record("speedup_" + label, lus / nus, "x");
+        lt.add_row({storm ? "16 -> rank 0 (storm)" : "16 x own target", util::fmt(us, 2)});
+        json.record("new_" + label + "_us_per_op", us, "us");
     }
-    double speedup_handoff16 = 0.0;
     {
         const int n = 16;
         const long iters = smoke ? 3 : 400;
         const double epochs = static_cast<double>(n) * static_cast<double>(iters);
-        double legacy_s = 1e30, real_s = 1e30;
-        for (int rep = 0; rep < reps; ++rep) {
-            legacy_s = std::min(legacy_s, legacy_handoff_run(n, iters));
-            real_s = std::min(real_s, real_handoff_run(n, iters));
-        }
-        const double lus = legacy_s / epochs * 1e6, nus = real_s / epochs * 1e6;
-        speedup_handoff16 = lus / nus;
-        lt.add_row({"16-deep handoff queue", util::fmt(lus, 2), util::fmt(nus, 2),
-                    util::fmt(lus / nus, 2) + "x"});
-        json.record("legacy_lock_handoff_16ranks_us_per_epoch", lus, "us");
-        json.record("new_lock_handoff_16ranks_us_per_epoch", nus, "us");
-        json.record("speedup_lock_handoff_16ranks", lus / nus, "x");
+        double best_s = 1e30;
+        for (int rep = 0; rep < reps; ++rep)
+            best_s = std::min(best_s, handoff_run(n, iters));
+        const double us = best_s / epochs * 1e6;
+        lt.add_row({"16-deep handoff queue (us/epoch)", util::fmt(us, 2)});
+        json.record("new_lock_handoff_16ranks_us_per_epoch", us, "us");
     }
     std::printf("%s", lt.render().c_str());
 
-    // ---- Table-1 counter identity (graded even in smoke) ------------------
-    const int id_n = 4;
-    const long id_epochs = smoke ? 6 : 60, id_iters = smoke ? 4 : 25;
-    LegacyRmaCounters lc;
-    legacy_run(id_n, 24,
-               [&](LegacyRmaWin& w, RmaFids& f, int me) {
-                   legacy_identity_workload(w, f, me, id_n, id_epochs, id_iters);
-               },
-               &lc);
-    const simmpi::RmaCounterSnapshot rc =
-        real_identity_workload(id_n, id_epochs, id_iters);
-    const bool identical =
-        lc.put_ops.load() == rc.put_ops && lc.get_ops.load() == rc.get_ops &&
-        lc.acc_ops.load() == rc.acc_ops && lc.put_bytes.load() == rc.put_bytes &&
-        lc.get_bytes.load() == rc.get_bytes &&
-        lc.acc_bytes.load() == rc.acc_bytes && lc.rma_ops.load() == rc.rma_ops &&
-        lc.rma_bytes.load() == rc.rma_bytes && lc.sync_ops.load() == rc.sync_ops;
-    if (!identical)
-        std::printf(
-            "  counter mismatch: legacy ops %lld/%lld/%lld bytes %lld/%lld/%lld "
-            "sync %lld vs new ops %lld/%lld/%lld bytes %lld/%lld/%lld sync %lld\n",
-            static_cast<long long>(lc.put_ops.load()),
-            static_cast<long long>(lc.get_ops.load()),
-            static_cast<long long>(lc.acc_ops.load()),
-            static_cast<long long>(lc.put_bytes.load()),
-            static_cast<long long>(lc.get_bytes.load()),
-            static_cast<long long>(lc.acc_bytes.load()),
-            static_cast<long long>(lc.sync_ops.load()),
-            static_cast<long long>(rc.put_ops), static_cast<long long>(rc.get_ops),
-            static_cast<long long>(rc.acc_ops), static_cast<long long>(rc.put_bytes),
-            static_cast<long long>(rc.get_bytes),
-            static_cast<long long>(rc.acc_bytes),
-            static_cast<long long>(rc.sync_ops));
-    json.record("counter_identity", identical ? 1.0 : 0.0, "bool");
-
-    if (smoke) {
-        g.check("smoke: all configurations completed", true);
-    } else {
-        g.check("16-rank contended lock handoff >= 3x the legacy design per epoch",
-                speedup_handoff16 >= 3.0);
-    }
-    g.check("Table-1 op/byte/sync counters bit-identical, per-op vs epoch-batched",
-            identical);
     const std::string body = json.render();
     g.check("json renders well-formed record set",
             body.rfind("{\"bench\":\"rma\"", 0) == 0 &&
@@ -1102,6 +291,6 @@ int main(int argc, char** argv) {
                 body.substr(body.size() - 3) == "]}\n");
 
     json.write_file();
-    std::printf("\nRMA data-plane ablation: %d failures\n", g.failures());
+    std::printf("\nRMA data-plane bench: %d failures\n", g.failures());
     return g.exit_code();
 }

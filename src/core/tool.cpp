@@ -12,6 +12,11 @@ namespace m2p::core {
 
 namespace {
 
+/// Simulated per-process daemon start cost (seconds) the intercept
+/// spawn method charges (paper: "adds overhead to the spawning
+/// operation").
+constexpr double kDaemonStartCost = 0.002;
+
 /// MDL runtime services implemented against the tool's registries.
 class ToolServices final : public mdl::Services {
 public:
@@ -489,10 +494,6 @@ std::int64_t PerfTool::window_uid_of_path(const std::string& path) const {
     return -1;
 }
 
-simmpi::RmaCounterSnapshot PerfTool::window_rma_counters(simmpi::Win handle) const {
-    return world_.win_rma_counters(handle);
-}
-
 // ---------------------------------------------------------------------------
 // Spawn support
 // ---------------------------------------------------------------------------
@@ -515,7 +516,6 @@ int PerfTool::wrap_spawn(simmpi::Rank& rank, simmpi::SpawnArgs args,
     if (!world_.has_program(wrapped)) {
         simmpi::ProgramFn orig = world_.find_program(args.command);
         if (orig) {
-            const double cost = opts_.daemon_start_cost;
             world_.register_program(
                 wrapped, [this, orig](simmpi::Rank& r,
                                       const std::vector<std::string>& argv) {
@@ -526,7 +526,6 @@ int PerfTool::wrap_spawn(simmpi::Rank& rank, simmpi::SpawnArgs args,
                     add_process(r.global_rank());
                     orig(r, argv);
                 });
-            (void)cost;
         }
     }
     const double t0 = util::wall_seconds();
@@ -539,7 +538,7 @@ int PerfTool::wrap_spawn(simmpi::Rank& rank, simmpi::SpawnArgs args,
     rank.MPI_Comm_rank(args.comm, &my_rank_in_comm);
     if (my_rank_in_comm == args.root)
         simmpi::sched::sleep_for(
-            std::chrono::duration<double>(opts_.daemon_start_cost * args.maxprocs));
+            std::chrono::duration<double>(kDaemonStartCost * args.maxprocs));
     const int rc = rank.PMPI_Comm_spawn(cmd, args.argv, args.maxprocs, args.info,
                                         args.root, args.comm, intercomm, errcodes);
     {

@@ -75,7 +75,6 @@ public:
         double bin_width = 0.005;   ///< histogram base granularity (seconds)
         std::size_t bins = 128;     ///< histogram capacity (fold beyond)
         SpawnMethod spawn_method = SpawnMethod::Intercept;
-        double daemon_start_cost = 0.002;  ///< intercept per-child cost (s)
         std::string mdl_source;     ///< empty = built-in default metric file
     };
 
@@ -109,10 +108,6 @@ public:
     std::string window_path(std::int64_t uid) const;
     /// Uid of the window whose resource path is @p path (-1 unknown).
     std::int64_t window_uid_of_path(const std::string& path) const;
-    /// The runtime's epoch-batched Table-1 counter totals for a window
-    /// (op/byte counts and sync aggregates; valid after MPI_Win_free
-    /// too, so consoles can show final per-window figures).
-    simmpi::RmaCounterSnapshot window_rma_counters(simmpi::Win handle) const;
 
     // -- Focus helpers -----------------------------------------------------
     /// Global ranks selected by the focus's machine/process axes.

@@ -20,8 +20,9 @@
 
 namespace m2p::mdl {
 
-/// MDL source of the default metric file (embedded so the tool works
-/// without a shared filesystem; also installed as config/default_metrics.mdl).
+/// MDL source of the default metric file, config/default_metrics.mdl
+/// (embedded so the tool works without a shared filesystem; CMake
+/// generates the defining source file from the .mdl at configure time).
 const std::string& default_metrics_source();
 
 }  // namespace m2p::mdl

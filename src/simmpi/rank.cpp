@@ -16,6 +16,13 @@ namespace {
 // tokens).  User tags must stay below it, as with real MPI tag bounds.
 constexpr int kReservedTagBase = 1 << 28;
 
+/// Standard-mode sends larger than this many bytes go rendezvous.
+constexpr std::size_t kEagerLimit = 4096;
+
+/// CollBegin/CollEnd `b` tag of every collective but MPI_Barrier (which
+/// tags its LAM or MPICH algorithm): they all run the tree shapes.
+constexpr int kCollTree = 1;
+
 bool contains(const std::vector<int>& v, int x) {
     return std::find(v.begin(), v.end(), x) != v.end();
 }
@@ -466,7 +473,7 @@ int Rank::send_body(const void* buf, int count, Datatype dt, int dest, int tag, 
 
     const bool rendezvous =
         mode == SendMode::Synchronous ||
-        (mode == SendMode::Standard && bytes > world_.config().eager_limit);
+        (mode == SendMode::Standard && bytes > kEagerLimit);
     std::shared_ptr<DeliveryToken> token;
     std::shared_ptr<sched::WaitToken> wake_msg;
     {
@@ -867,13 +874,13 @@ void Rank::reduce_combine(void* acc, const void* in, int count, Datatype dt,
 }
 
 // ---------------------------------------------------------------------------
-// Binomial-tree collective building blocks (CollAlgo::Tree).
+// Binomial-tree collective building blocks.
 //
 // All three run in a "virtual rank" space rotated so the root is vrank
 // 0; `mask` ends at the lowest set bit of vrank (or past n for the
 // root), which makes parent = vrank - mask and the children the
-// vrank + 2^k below mask.  Depth is ceil(log2 n) instead of the flat
-// algorithms' O(n) root loop.
+// vrank + 2^k below mask.  Depth is ceil(log2 n) instead of a star's
+// O(n) root loop.
 // ---------------------------------------------------------------------------
 
 bool Rank::coll_bcast_tree(void* buf, int bytes, int root_cr, int tag, CommData& c) {
@@ -1241,7 +1248,7 @@ int Rank::PMPI_Isend(const void* buf, int count, Datatype dt, int dest, int tag,
         env.context = cd.context;
         env.data = mb.take_buf_locked(bytes);
         if (bytes > 0) std::memcpy(env.data.data(), buf, bytes);
-        if (bytes <= world_.config().eager_limit &&
+        if (bytes <= kEagerLimit &&
             mb.bytes_queued + bytes + kEnvelopeOverhead <=
                 world_.config().mailbox_capacity) {
             mb.bytes_queued += bytes + kEnvelopeOverhead;
@@ -1474,26 +1481,14 @@ int Rank::PMPI_Bcast(void* buf, int count, Datatype dt, int root, Comm c) {
     if (datatype_size(dt) <= 0) return MPI_ERR_TYPE;
     const int n = static_cast<int>(cd.group.size());
     if (root < 0 || root >= n) return MPI_ERR_RANK;
-    const int me = my_rank_in(cd);
     const int bytes = count * datatype_size(dt);
     const int tag = next_coll_tag(c);
-    const bool tree = world_.config().coll_algo == CollAlgo::Tree && n > 1;
-    CollScope cs(*this, "MPI_Bcast", c, bytes, tree ? 1 : 0);
+    CollScope cs(*this, "MPI_Bcast", c, bytes, kCollTree);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
     if (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))
         return comm_error(c, MPI_ERR_PROC_FAILED);
-    if (tree)
-        return coll_bcast_tree(buf, bytes, root, tag, cd)
-                   ? MPI_SUCCESS
-                   : comm_error(c, coll_fail_code(cd));
-    // Flat star: the legacy shape paper-validation runs pin.
-    if (me == root) {
-        for (int r = 0; r < n; ++r)
-            if (r != root) internal_send(buf, bytes, r, tag, cd);
-    } else if (!internal_recv(buf, bytes, root, tag, cd)) {
-        return comm_error(c, coll_fail_code(cd));
-    }
-    return MPI_SUCCESS;
+    return coll_bcast_tree(buf, bytes, root, tag, cd) ? MPI_SUCCESS
+                                                      : comm_error(c, coll_fail_code(cd));
 }
 
 int Rank::MPI_Reduce(const void* sbuf, void* rbuf, int count, Datatype dt, Op op,
@@ -1522,47 +1517,31 @@ int Rank::PMPI_Reduce(const void* sbuf, void* rbuf, int count, Datatype dt, Op o
     const int me = my_rank_in(cd);
     const int bytes = count * datatype_size(dt);
     const int tag = next_coll_tag(c);
-    const bool tree = world_.config().coll_algo == CollAlgo::Tree && n > 1;
-    CollScope cs(*this, "MPI_Reduce", c, bytes, tree ? 1 : 0);
+    CollScope cs(*this, "MPI_Reduce", c, bytes, kCollTree);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
     if (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))
         return comm_error(c, MPI_ERR_PROC_FAILED);
-    if (tree) {
-        // Binomial reduce (ops are commutative): combine children's
-        // partial results, then forward the accumulator to the parent.
-        const int vrank = (me - root + n) % n;
-        const auto actual = [&](int v) { return (v + root) % n; };
-        std::vector<std::byte> acc(static_cast<std::size_t>(bytes));
-        std::vector<std::byte> tmp(static_cast<std::size_t>(bytes));
-        if (bytes > 0) std::memcpy(acc.data(), sbuf, static_cast<std::size_t>(bytes));
-        for (int mask = 1; mask < n; mask <<= 1) {
-            if (vrank & mask) {
-                internal_send(acc.data(), bytes, actual(vrank - mask), tag, cd);
-                break;
-            }
-            const int child = vrank + mask;
-            if (child < n) {
-                if (!internal_recv(tmp.data(), bytes, actual(child), tag, cd))
-                    return comm_error(c, coll_fail_code(cd));
-                reduce_combine(acc.data(), tmp.data(), count, dt, op);
-            }
+    // Binomial reduce (ops are commutative): combine children's
+    // partial results, then forward the accumulator to the parent.
+    const int vrank = (me - root + n) % n;
+    const auto actual = [&](int v) { return (v + root) % n; };
+    std::vector<std::byte> acc(static_cast<std::size_t>(bytes));
+    std::vector<std::byte> tmp(static_cast<std::size_t>(bytes));
+    if (bytes > 0) std::memcpy(acc.data(), sbuf, static_cast<std::size_t>(bytes));
+    for (int mask = 1; mask < n; mask <<= 1) {
+        if (vrank & mask) {
+            internal_send(acc.data(), bytes, actual(vrank - mask), tag, cd);
+            break;
         }
-        if (me == root && bytes > 0)
-            std::memcpy(rbuf, acc.data(), static_cast<std::size_t>(bytes));
-        return MPI_SUCCESS;
-    }
-    if (me == root) {
-        if (bytes > 0) std::memcpy(rbuf, sbuf, static_cast<std::size_t>(bytes));
-        std::vector<std::byte> tmp(static_cast<std::size_t>(bytes));
-        for (int r = 0; r < n; ++r) {
-            if (r == root) continue;
-            if (!internal_recv(tmp.data(), bytes, r, tag, cd))
+        const int child = vrank + mask;
+        if (child < n) {
+            if (!internal_recv(tmp.data(), bytes, actual(child), tag, cd))
                 return comm_error(c, coll_fail_code(cd));
-            reduce_combine(rbuf, tmp.data(), count, dt, op);
+            reduce_combine(acc.data(), tmp.data(), count, dt, op);
         }
-    } else {
-        internal_send(sbuf, bytes, root, tag, cd);
     }
+    if (me == root && bytes > 0)
+        std::memcpy(rbuf, acc.data(), static_cast<std::size_t>(bytes));
     return MPI_SUCCESS;
 }
 
@@ -1587,45 +1566,25 @@ int Rank::PMPI_Allreduce(const void* sbuf, void* rbuf, int count, Datatype dt, O
     if (cd.is_inter) return MPI_ERR_COMM;
     if (count < 0) return MPI_ERR_COUNT;
     if (datatype_size(dt) <= 0) return MPI_ERR_TYPE;
-    const int n = static_cast<int>(cd.group.size());
-    const int me = my_rank_in(cd);
     const int bytes = count * datatype_size(dt);
     const int tag = next_coll_tag(c);
-    const bool tree = world_.config().coll_algo == CollAlgo::Tree && n > 1;
-    CollScope cs(*this, "MPI_Allreduce", c, bytes, tree ? 1 : 0);
+    CollScope cs(*this, "MPI_Allreduce", c, bytes, kCollTree);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
     if (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))
         return comm_error(c, MPI_ERR_PROC_FAILED);
-    if (tree) {
-        // Node-aware schedule, replacing recursive doubling: doubling
-        // moved 2*n*log2(n) point-to-point messages per operation and
-        // parked both partners at every round, losing to the flat star
-        // on wall-clock whenever ranks timeshare a small worker pool.
-        // Here same-node ranks fold through a shared combining cell
-        // (zero messages -- the shm fast path a real intra-node
-        // transport takes) and only node leaders exchange across the
-        // simulated network, binomially.  Aggregate traffic drops from
-        // the star's 2*(n-1) messages to 2*(#nodes-1) while the
-        // per-rank critical path stays logarithmic.
-        return coll_allreduce_tree(sbuf, rbuf, count, dt, op, bytes, tag, cd)
-                   ? MPI_SUCCESS
-                   : comm_error(c, coll_fail_code(cd));
-    }
-    if (me == 0) {
-        if (bytes > 0) std::memcpy(rbuf, sbuf, static_cast<std::size_t>(bytes));
-        std::vector<std::byte> tmp(static_cast<std::size_t>(bytes));
-        for (int r = 1; r < n; ++r) {
-            if (!internal_recv(tmp.data(), bytes, r, tag, cd))
-                return comm_error(c, coll_fail_code(cd));
-            reduce_combine(rbuf, tmp.data(), count, dt, op);
-        }
-        for (int r = 1; r < n; ++r) internal_send(rbuf, bytes, r, tag + 1, cd);
-    } else {
-        internal_send(sbuf, bytes, 0, tag, cd);
-        if (!internal_recv(rbuf, bytes, 0, tag + 1, cd))
-            return comm_error(c, coll_fail_code(cd));
-    }
-    return MPI_SUCCESS;
+    // Node-aware schedule, replacing recursive doubling: doubling
+    // moved 2*n*log2(n) point-to-point messages per operation and
+    // parked both partners at every round, losing to a root star on
+    // wall-clock whenever ranks timeshare a small worker pool.  Here
+    // same-node ranks fold through a shared combining cell (zero
+    // messages -- the shm fast path a real intra-node transport takes)
+    // and only node leaders exchange across the simulated network,
+    // binomially.  Aggregate traffic drops from a star's 2*(n-1)
+    // messages to 2*(#nodes-1) while the per-rank critical path stays
+    // logarithmic.
+    return coll_allreduce_tree(sbuf, rbuf, count, dt, op, bytes, tag, cd)
+               ? MPI_SUCCESS
+               : comm_error(c, coll_fail_code(cd));
 }
 
 namespace {
@@ -1666,32 +1625,15 @@ int Rank::PMPI_Gather(const void* sbuf, int scount, Datatype sdt, void* rbuf,
     if (const int rc = check_gs(cd, scount, sdt, rcount, rdt, root); rc != MPI_SUCCESS)
         return rc;
     const int me = my_rank_in(cd);
-    const int n = static_cast<int>(cd.group.size());
     const int block = scount * datatype_size(sdt);
     const int tag = next_coll_tag(c);
-    const bool tree = world_.config().coll_algo == CollAlgo::Tree && n > 1;
-    CollScope cs(*this, "MPI_Gather", c, block, tree ? 1 : 0);
+    CollScope cs(*this, "MPI_Gather", c, block, kCollTree);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
     if (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))
         return comm_error(c, MPI_ERR_PROC_FAILED);
-    if (tree)
-        return coll_gather_tree(sbuf, me == root ? rbuf : nullptr, block, root, tag, cd)
-                   ? MPI_SUCCESS
-                   : comm_error(c, coll_fail_code(cd));
-    if (me == root) {
-        auto* out = static_cast<std::byte*>(rbuf);
-        std::memcpy(out + static_cast<std::ptrdiff_t>(root) * block, sbuf,
-                    static_cast<std::size_t>(block));
-        for (int r = 0; r < n; ++r) {
-            if (r == root) continue;
-            if (!internal_recv(out + static_cast<std::ptrdiff_t>(r) * block, block, r,
-                               tag, cd))
-                return comm_error(c, coll_fail_code(cd));
-        }
-    } else {
-        internal_send(sbuf, block, root, tag, cd);
-    }
-    return MPI_SUCCESS;
+    return coll_gather_tree(sbuf, me == root ? rbuf : nullptr, block, root, tag, cd)
+               ? MPI_SUCCESS
+               : comm_error(c, coll_fail_code(cd));
 }
 
 int Rank::MPI_Scatter(const void* sbuf, int scount, Datatype sdt, void* rbuf,
@@ -1715,31 +1657,15 @@ int Rank::PMPI_Scatter(const void* sbuf, int scount, Datatype sdt, void* rbuf,
     if (const int rc = check_gs(cd, scount, sdt, rcount, rdt, root); rc != MPI_SUCCESS)
         return rc;
     const int me = my_rank_in(cd);
-    const int n = static_cast<int>(cd.group.size());
     const int block = rcount * datatype_size(rdt);
     const int tag = next_coll_tag(c);
-    const bool tree = world_.config().coll_algo == CollAlgo::Tree && n > 1;
-    CollScope cs(*this, "MPI_Scatter", c, block, tree ? 1 : 0);
+    CollScope cs(*this, "MPI_Scatter", c, block, kCollTree);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
     if (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))
         return comm_error(c, MPI_ERR_PROC_FAILED);
-    if (tree)
-        return coll_scatter_tree(me == root ? sbuf : nullptr, rbuf, block, root, tag, cd)
-                   ? MPI_SUCCESS
-                   : comm_error(c, coll_fail_code(cd));
-    if (me == root) {
-        const auto* in = static_cast<const std::byte*>(sbuf);
-        std::memcpy(rbuf, in + static_cast<std::ptrdiff_t>(root) * block,
-                    static_cast<std::size_t>(block));
-        for (int r = 0; r < n; ++r) {
-            if (r == root) continue;
-            internal_send(in + static_cast<std::ptrdiff_t>(r) * block, block, r, tag,
-                          cd);
-        }
-    } else if (!internal_recv(rbuf, block, root, tag, cd)) {
-        return comm_error(c, coll_fail_code(cd));
-    }
-    return MPI_SUCCESS;
+    return coll_scatter_tree(me == root ? sbuf : nullptr, rbuf, block, root, tag, cd)
+               ? MPI_SUCCESS
+               : comm_error(c, coll_fail_code(cd));
 }
 
 int Rank::MPI_Allgather(const void* sbuf, int scount, Datatype sdt, void* rbuf,
@@ -1764,49 +1690,31 @@ int Rank::PMPI_Allgather(const void* sbuf, int scount, Datatype sdt, void* rbuf,
     const int n = static_cast<int>(cd.group.size());
     const int block = rcount * datatype_size(rdt);
     const int tag = next_coll_tag(c);
-    const bool tree = world_.config().coll_algo == CollAlgo::Tree && n > 1;
-    CollScope cs(*this, "MPI_Allgather", c, block, tree ? 1 : 0);
+    CollScope cs(*this, "MPI_Allgather", c, block, kCollTree);
     if (comm_revoked(cd)) return comm_error(c, MPI_ERR_REVOKED);
     if (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))
         return comm_error(c, MPI_ERR_PROC_FAILED);
     auto* out = static_cast<std::byte*>(rbuf);
-    if (tree) {
-        if ((n & (n - 1)) == 0) {
-            // Power of two: recursive doubling, each round swapping the
-            // m-block slab the partner pair already holds.
-            if (block > 0)
-                std::memcpy(out + static_cast<std::size_t>(me) * block, sbuf,
-                            static_cast<std::size_t>(block));
-            int round = 0;
-            for (int m = 1; m < n; m <<= 1, ++round) {
-                const int peer = me ^ m;
-                const int my_off = me & ~(m - 1);
-                const int peer_off = peer & ~(m - 1);
-                internal_send(out + static_cast<std::size_t>(my_off) * block, m * block,
-                              peer, tag + round, cd);
-                if (!internal_recv(out + static_cast<std::size_t>(peer_off) * block,
-                                   m * block, peer, tag + round, cd))
-                    return comm_error(c, coll_fail_code(cd));
-            }
-        } else {
-            if (!coll_gather_tree(sbuf, me == 0 ? rbuf : nullptr, block, 0, tag, cd) ||
-                !coll_bcast_tree(out, n * block, 0, tag + 32, cd))
+    if ((n & (n - 1)) == 0) {
+        // Power of two: recursive doubling, each round swapping the
+        // m-block slab the partner pair already holds.
+        if (block > 0)
+            std::memcpy(out + static_cast<std::size_t>(me) * block, sbuf,
+                        static_cast<std::size_t>(block));
+        int round = 0;
+        for (int m = 1; m < n; m <<= 1, ++round) {
+            const int peer = me ^ m;
+            const int my_off = me & ~(m - 1);
+            const int peer_off = peer & ~(m - 1);
+            internal_send(out + static_cast<std::size_t>(my_off) * block, m * block,
+                          peer, tag + round, cd);
+            if (!internal_recv(out + static_cast<std::size_t>(peer_off) * block,
+                               m * block, peer, tag + round, cd))
                 return comm_error(c, coll_fail_code(cd));
         }
-        return MPI_SUCCESS;
-    }
-    // Gather-to-0 then broadcast of the assembled vector.
-    if (me == 0) {
-        std::memcpy(out, sbuf, static_cast<std::size_t>(block));
-        for (int r = 1; r < n; ++r)
-            if (!internal_recv(out + static_cast<std::ptrdiff_t>(r) * block, block, r,
-                               tag, cd))
-                return comm_error(c, coll_fail_code(cd));
-        for (int r = 1; r < n; ++r) internal_send(out, n * block, r, tag + 1, cd);
-    } else {
-        internal_send(sbuf, block, 0, tag, cd);
-        if (!internal_recv(out, n * block, 0, tag + 1, cd))
-            return comm_error(c, coll_fail_code(cd));
+    } else if (!coll_gather_tree(sbuf, me == 0 ? rbuf : nullptr, block, 0, tag, cd) ||
+               !coll_bcast_tree(out, n * block, 0, tag + 32, cd)) {
+        return comm_error(c, coll_fail_code(cd));
     }
     return MPI_SUCCESS;
 }

@@ -316,8 +316,7 @@ private:
     bool barrier_internal(CommData& c);
     int next_coll_tag(Comm c);
     void reduce_combine(void* acc, const void* in, int count, Datatype dt, Op op) const;
-    // Binomial-tree data movement on the collective side-channel
-    // (Config::coll_algo selects these or the flat legacy loops).
+    // Binomial-tree data movement on the collective side-channel.
     bool coll_bcast_tree(void* buf, int bytes, int root_cr, int tag, CommData& c);
     /// Gathers @p block bytes per rank into @p rbuf (rank order) at
     /// @p root_cr; other ranks pass rbuf = nullptr.
@@ -334,7 +333,8 @@ private:
     /// RAII collective span: CollBegin in the ctor, CollEnd at scope
     /// exit -- so a rank that unwinds mid-collective (fault, poison)
     /// still closes its span and the postmortem shows where it was.
-    /// @p algo is the shape actually used: 0 flat star, 1 binomial tree.
+    /// @p algo tags the shape: MPI_Barrier's 0 (LAM token exchange) or
+    /// 1 (MPICH dissemination), 1 (tree) for every other collective.
     class CollScope {
     public:
         CollScope(Rank& r, const char* name, Comm c, std::int64_t bytes, int algo);

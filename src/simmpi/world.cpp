@@ -20,6 +20,11 @@ const char* flavor_name(Flavor f) { return f == Flavor::Lam ? "LAM/MPI" : "MPICH
 namespace {
 using instr::Category;
 constexpr std::uint32_t cat(Category c) { return static_cast<std::uint32_t>(c); }
+
+/// Usable stack bytes per fiber (plus a guard page).
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+/// Simulated base cost (seconds) of creating one process via spawn.
+constexpr double kSpawnBaseCost = 0.0005;
 }  // namespace
 
 World::World(instr::Registry& reg, Config cfg) : reg_(reg), cfg_(std::move(cfg)) {
@@ -443,7 +448,7 @@ void World::start_proc(int global_rank, std::vector<std::string> argv) {
             instr::ThreadContext ictx;
             ictx.rank = global_rank;
             ictx.sink = recorder_.get();
-            scheduler_locked()->spawn(std::move(body), cfg_.fiber_stack_bytes,
+            scheduler_locked()->spawn(std::move(body), kFiberStackBytes,
                                       &p.cpu_ns, ictx);
         } else {
             threads_.emplace_back(std::move(body));
@@ -1085,7 +1090,7 @@ Comm World::do_spawn(const std::string& command, const std::vector<std::string>&
     }
     // Simulated process-creation overhead: the paper calls out spawn
     // cost as something programmers will want to measure.
-    sched::sleep_for(std::chrono::duration<double>(cfg_.spawn_base_cost * maxprocs));
+    sched::sleep_for(std::chrono::duration<double>(kSpawnBaseCost * maxprocs));
 
     std::vector<int> children;
     children.reserve(static_cast<std::size_t>(maxprocs));

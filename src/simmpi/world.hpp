@@ -683,12 +683,6 @@ struct MpirProcDesc {
     int global_rank = -1;
 };
 
-/// Which collective algorithms the transport uses.  Tree is the
-/// production shape (binomial / recursive-doubling, log depth); Flat
-/// pins the legacy linear root-loops so paper-validation runs keep the
-/// message pattern the known-bottleneck figures were built on.
-enum class CollAlgo { Flat, Tree };
-
 /// How rank bodies are executed.  Fiber is the production engine:
 /// stackful fibers multiplexed over the work-stealing scheduler pool,
 /// with park/unpark blocking (DESIGN.md section 12).  Thread is the
@@ -705,18 +699,8 @@ public:
         /// Scheduler worker threads for the fiber engine; 0 picks
         /// hardware_concurrency.
         std::size_t sched_workers = 0;
-        /// Usable stack bytes per fiber (plus a guard page).
-        std::size_t fiber_stack_bytes = 256 * 1024;
-        std::size_t eager_limit = 4096;        ///< bytes; larger sends rendezvous
         std::size_t mailbox_capacity = 65536;  ///< eager bytes queued before senders block
-        CollAlgo coll_algo = CollAlgo::Tree;   ///< collective algorithm family
         bool mpir_enabled = false;
-        /// Simulated per-process daemon start cost (seconds) charged by
-        /// the intercept spawn method (paper: "adds overhead to the
-        /// spawning operation").
-        double daemon_start_cost = 0.002;
-        /// Simulated base cost of creating one process via spawn.
-        double spawn_base_cost = 0.0005;
         /// Total attempts do_spawn makes against a transient injected
         /// spawn fault (fail_spawn specs fire once, so the retry sees a
         /// clean consult).  1 = no retry, preserving the PR 3 contract.

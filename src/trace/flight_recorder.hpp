@@ -34,7 +34,8 @@ enum class EventKind : std::uint32_t {
     MpiCall = 1,          ///< one MPI_* trampoline call; t0..t1 span the guard
     Pt2ptSend,            ///< a=bytes, b=tag, c=dest global rank
     Pt2ptRecv,            ///< a=bytes, b=tag, c=source global rank
-    CollBegin,            ///< a=local payload bytes, b=algo (0 flat / 1 tree), c=comm
+    CollBegin,            ///< a=local payload bytes, b=algo, c=comm; algo is
+                          ///< Barrier's 0 LAM / 1 MPICH, else 1 (tree)
     CollEnd,              ///< b=algo, c=comm
     RmaEpoch,             ///< epoch transition at a sync call: a=win, b=wait ns, c=passive
     RmaBatch,             ///< staged-op flush: a=ops, b=bytes, c=win

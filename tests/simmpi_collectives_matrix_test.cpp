@@ -1,7 +1,7 @@
-// Collective correctness matrix: every collective x {2, 5, 16, 64,
-// 256} ranks x {Flat, Tree} algorithm x both flavors, plus
-// intercommunicator error returns and the flat-config byte-metric
-// exactness the paper-validation runs rely on.  The 5- and 16-rank
+// Collective correctness matrix: every collective x {1, 2, 5, 16, 64,
+// 256} ranks x both flavors, plus intercommunicator error returns and
+// the byte-metric exactness the paper-validation runs rely on.  One
+// rank is the degenerate tree with no messages; the 5- and 16-rank
 // points exercise the non-power-of-two folding and the deepest tree
 // levels of the binomial / recursive-doubling algorithms; 64 and 256
 // run on the fiber engine far past the old thread-per-rank wall, with
@@ -22,16 +22,20 @@
 namespace m2p::simmpi {
 namespace {
 
+// One matrix cell: a flavor.  `shape` is always 1, the tree family
+// the transport runs; it stays in the parameter because ctest names
+// each cell after the parameter's bytes.
 struct MatrixParam {
     Flavor flavor;
-    CollAlgo algo;
+    int shape = 1;
 };
 
 std::string param_name(const ::testing::TestParamInfo<MatrixParam>& i) {
-    std::string s = i.param.flavor == Flavor::Lam ? "Lam" : "Mpich";
-    s += i.param.algo == CollAlgo::Flat ? "Flat" : "Tree";
-    return s;
+    return i.param.flavor == Flavor::Lam ? "LamTree" : "MpichTree";
 }
+
+const auto kMatrixCells = ::testing::Values(MatrixParam{Flavor::Lam},
+                                            MatrixParam{Flavor::Mpich});
 
 class CollectivesMatrixTest : public ::testing::TestWithParam<MatrixParam> {
 protected:
@@ -39,7 +43,6 @@ protected:
         instr::Registry reg;
         World::Config cfg;
         cfg.flavor = GetParam().flavor;
-        cfg.coll_algo = GetParam().algo;
         World world(reg, cfg);
         world.register_program("prog",
                                [fn](Rank& r, const std::vector<std::string>&) { fn(r); });
@@ -50,11 +53,12 @@ protected:
         world.join_all();
     }
 
-    // The rank counts every matrix cell runs at: the smallest comm, a
-    // non-power-of-two size (recursive-doubling fold path), a 4-level
-    // binomial tree, and two fiber-engine scale points.
+    // The rank counts every matrix cell runs at: a one-rank comm (the
+    // tree with no edges), the smallest exchange, a non-power-of-two
+    // size (recursive-doubling fold path), a 4-level binomial tree,
+    // and two fiber-engine scale points.
     static const std::vector<int>& sizes() {
-        static const std::vector<int> s = {2, 5, 16, 64, 256};
+        static const std::vector<int> s = {1, 2, 5, 16, 64, 256};
         return s;
     }
 };
@@ -265,14 +269,12 @@ TEST_P(CollectivesMatrixTest, MixedCollectiveSequenceStaysOrdered) {
 
 TEST_P(CollectivesMatrixTest, IntercommCollectivesReturnErrComm) {
     // Collectives are defined on intracommunicators only in this
-    // engine; an intercomm must be rejected, not deadlock -- under
-    // either algorithm family.  The intercomm is built directly
-    // through the World API because the Mpich flavor
-    // (paper-accurately) has no MPI_Comm_spawn.
+    // engine; an intercomm must be rejected, not deadlock.  The
+    // intercomm is built directly through the World API because the
+    // Mpich flavor (paper-accurately) has no MPI_Comm_spawn.
     instr::Registry reg;
     World::Config cfg;
     cfg.flavor = GetParam().flavor;
-    cfg.coll_algo = GetParam().algo;
     World world(reg, cfg);
     const Comm inter = world.create_comm({0}, {1}, /*is_inter=*/true);
     world.register_program("prog", [inter](Rank& r, const std::vector<std::string>&) {
@@ -301,7 +303,6 @@ TEST_P(CollectivesMatrixTest, SpawnedIntercommRejectedLamOnly) {
     instr::Registry reg;
     World::Config cfg;
     cfg.flavor = GetParam().flavor;
-    cfg.coll_algo = GetParam().algo;
     World world(reg, cfg);
     world.register_program("child", [](Rank& r, const std::vector<std::string>&) {
         r.MPI_Init();
@@ -349,18 +350,12 @@ TEST_P(CollectivesMatrixTest, GatherScatterErrorsOnBadArguments) {
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, CollectivesMatrixTest,
-                         ::testing::Values(MatrixParam{Flavor::Lam, CollAlgo::Flat},
-                                           MatrixParam{Flavor::Lam, CollAlgo::Tree},
-                                           MatrixParam{Flavor::Mpich, CollAlgo::Flat},
-                                           MatrixParam{Flavor::Mpich, CollAlgo::Tree}),
-                         param_name);
+INSTANTIATE_TEST_SUITE_P(Matrix, CollectivesMatrixTest, kMatrixCells, param_name);
 
 // ---------------------------------------------------------------------------
-// Tool-facing byte metrics: exact under the flat (paper-validation)
-// config, and unperturbed by the collective algorithm choice, because
-// the MDL counters instrument the MPI pt2pt entry points, not the
-// transport internals.
+// Tool-facing byte metrics stay exact with collectives interleaved,
+// because the MDL counters instrument the MPI pt2pt entry points, not
+// the transport internals.
 // ---------------------------------------------------------------------------
 
 class ByteMetricsTest : public ::testing::TestWithParam<MatrixParam> {};
@@ -369,7 +364,6 @@ TEST_P(ByteMetricsTest, Pt2ptByteCountersStayExact) {
     instr::Registry reg;
     World::Config cfg;
     cfg.flavor = GetParam().flavor;
-    cfg.coll_algo = GetParam().algo;
     World world(reg, cfg);
     core::PerfTool tool(world, core::PerfTool::Options{});
     auto sent = tool.metrics().request("msg_bytes_sent", core::Focus{});
@@ -387,7 +381,7 @@ TEST_P(ByteMetricsTest, Pt2ptByteCountersStayExact) {
         std::vector<char> buf(kBytes, 'b');
         // Interleave collectives with the counted pt2pt traffic: the
         // internal collective messages must not leak into the MPI-level
-        // byte counters under either algorithm.
+        // byte counters.
         for (int i = 0; i < kMsgs; ++i) {
             if (me == 0)
                 r.MPI_Send(buf.data(), kBytes, MPI_BYTE, 1, 5, w);
@@ -412,12 +406,7 @@ TEST_P(ByteMetricsTest, Pt2ptByteCountersStayExact) {
     tool.metrics().release(sent);
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, ByteMetricsTest,
-                         ::testing::Values(MatrixParam{Flavor::Lam, CollAlgo::Flat},
-                                           MatrixParam{Flavor::Lam, CollAlgo::Tree},
-                                           MatrixParam{Flavor::Mpich, CollAlgo::Flat},
-                                           MatrixParam{Flavor::Mpich, CollAlgo::Tree}),
-                         param_name);
+INSTANTIATE_TEST_SUITE_P(Matrix, ByteMetricsTest, kMatrixCells, param_name);
 
 }  // namespace
 }  // namespace m2p::simmpi

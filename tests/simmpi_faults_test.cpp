@@ -27,7 +27,6 @@
 namespace m2p {
 namespace {
 
-using simmpi::CollAlgo;
 using simmpi::Comm;
 using simmpi::Epitaph;
 using simmpi::FaultPlan;
@@ -71,10 +70,9 @@ struct Observed {
     }
 };
 
-World::Config faulted_cfg(Flavor f, CollAlgo algo) {
+World::Config faulted_cfg(Flavor f) {
     World::Config cfg;
     cfg.flavor = f;
-    cfg.coll_algo = algo;
     // Tight enough that a wrongly-deadlocked test fails fast, loose
     // enough that liveness detection (ms) is clearly what unwedges us.
     cfg.wait_deadline_seconds = 5.0;
@@ -93,12 +91,12 @@ void run_ranks(World& world, const std::string& prog, int n) {
 
 // ---------------------------------------------------------------------------
 // Crash in a collective: every survivor sees the same MPI_ERR_PROC_FAILED,
-// across both collective algorithms and both flavors.
+// in both flavors.
 // ---------------------------------------------------------------------------
 
-void crash_in_collective(Flavor f, CollAlgo algo) {
+void crash_in_collective(Flavor f) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(f, algo);
+    World::Config cfg = faulted_cfg(f);
     // Rank 1 dies entering its 3rd allreduce (calls: Init, 2 allreduces, boom).
     cfg.faults->kill_at_call(1, 4);
     World world(reg, cfg);
@@ -134,18 +132,8 @@ void crash_in_collective(Flavor f, CollAlgo algo) {
     EXPECT_FALSE(world.poisoned());  // MPI_ERRORS_RETURN is the default
 }
 
-TEST(Faults, CrashInCollectiveLamFlat) {
-    crash_in_collective(Flavor::Lam, CollAlgo::Flat);
-}
-TEST(Faults, CrashInCollectiveLamTree) {
-    crash_in_collective(Flavor::Lam, CollAlgo::Tree);
-}
-TEST(Faults, CrashInCollectiveMpichFlat) {
-    crash_in_collective(Flavor::Mpich, CollAlgo::Flat);
-}
-TEST(Faults, CrashInCollectiveMpichTree) {
-    crash_in_collective(Flavor::Mpich, CollAlgo::Tree);
-}
+TEST(Faults, CrashInCollectiveLamTree) { crash_in_collective(Flavor::Lam); }
+TEST(Faults, CrashInCollectiveMpichTree) { crash_in_collective(Flavor::Mpich); }
 
 // ---------------------------------------------------------------------------
 // Rank death at fiber scale: 256 fiber-scheduled ranks, one victim,
@@ -159,7 +147,7 @@ TEST(Faults, CrashInCollectiveAt256Ranks) {
     constexpr int kRanks = 256;
     constexpr int kVictim = 17;
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.join_deadline_seconds = 60.0;
     // The victim dies entering its 3rd allreduce (Init, 2 allreduces, boom).
     cfg.faults->kill_at_call(kVictim, 4);
@@ -204,7 +192,7 @@ TEST(Faults, CrashInCollectiveAt256Ranks) {
 
 TEST(Faults, DeadPeerFailsRecvAndSendWithErrRank) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.faults->kill_at_call(1, 2);  // rank 1 dies right after MPI_Init
     World world(reg, cfg);
     Observed obs;
@@ -239,7 +227,7 @@ TEST(Faults, DeadPeerFailsRecvAndSendWithErrRank) {
 
 TEST(Faults, RendezvousSenderUnwedgesWhenReceiverDies) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.faults->kill_at_call(1, 2);  // receiver dies entering its MPI_Recv
     World world(reg, cfg);
     Observed obs;
@@ -278,7 +266,7 @@ TEST(Faults, RendezvousSenderUnwedgesWhenReceiverDies) {
 TEST(Faults, HangInBarrierUnwedgesSurvivorsViaLiveness) {
     constexpr double kHangSeconds = 1.0;
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.wait_deadline_seconds = 10.0;  // deadline clearly not the rescuer
     cfg.faults->hang_in_call(1, "MPI_Barrier", kHangSeconds);
     World world(reg, cfg);
@@ -319,7 +307,7 @@ TEST(Faults, HangInBarrierUnwedgesSurvivorsViaLiveness) {
 
 TEST(Faults, DroppedMessageHitsReceiverDeadline) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.wait_deadline_seconds = 0.8;
     cfg.faults->drop_message(0, 1);
     World world(reg, cfg);
@@ -351,7 +339,7 @@ TEST(Faults, DroppedMessageHitsReceiverDeadline) {
 
 TEST(Faults, DroppedMessageThenRetransmitDelivers) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.faults->drop_message(0, 1, /*nth_match=*/1);
     World world(reg, cfg);
     Observed obs;
@@ -378,7 +366,7 @@ TEST(Faults, DroppedMessageThenRetransmitDelivers) {
 TEST(Faults, DelayedMessageStallsWireButArrivesIntact) {
     constexpr double kDelay = 0.3;
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.faults->delay_message(0, 1, /*nth_match=*/1, kDelay);
     World world(reg, cfg);
     Observed obs;
@@ -418,7 +406,7 @@ TEST(Faults, DelayedMessageStallsWireButArrivesIntact) {
 
 TEST(Faults, SpawnFailureIsCollectiveAndRecoverable) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.faults->fail_spawn(/*nth_spawn=*/1);
     World world(reg, cfg);
     Observed first, second;
@@ -460,7 +448,7 @@ TEST(Faults, SpawnOfUnknownProgramFailsInsteadOfThrowing) {
     // thread when the spawned command was not registered; now it is a
     // proper collective spawn failure.
     instr::Registry reg;
-    World world(reg, faulted_cfg(Flavor::Lam, CollAlgo::Tree));
+    World world(reg, faulted_cfg(Flavor::Lam));
     Observed obs;
     world.register_program("parent", [&](Rank& r, const std::vector<std::string>&) {
         r.MPI_Init();
@@ -494,7 +482,7 @@ TEST(Faults, LaunchOfUnknownProgramThrowsOnLaunchingThread) {
 
 TEST(Faults, AbortPoisonsWorldAndOutcomeIsAborted) {
     instr::Registry reg;
-    World world(reg, faulted_cfg(Flavor::Lam, CollAlgo::Tree));
+    World world(reg, faulted_cfg(Flavor::Lam));
     world.register_program("app", [&](Rank& r, const std::vector<std::string>&) {
         r.MPI_Init();
         int me = 0;
@@ -526,7 +514,7 @@ TEST(Faults, AbortPoisonsWorldAndOutcomeIsAborted) {
 
 TEST(Faults, ErrorsAreFatalTerminatesEveryRank) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.default_errhandler = MPI_ERRORS_ARE_FATAL;
     cfg.faults->kill_at_call(1, 3);
     World world(reg, cfg);
@@ -569,7 +557,7 @@ TEST(Faults, FatalTransportErrorWithExportAttachedDoesNotDeadlock) {
     ::setenv("M2P_PVAR_EXPORT_PERIOD_US", "500", 1);
     {
         instr::Registry reg;
-        World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+        World::Config cfg = faulted_cfg(Flavor::Lam);
         cfg.default_errhandler = MPI_ERRORS_ARE_FATAL;
         cfg.wait_deadline_seconds = 0.3;
         cfg.mailbox_capacity = 4096;  // a few eager sends fill it
@@ -615,7 +603,7 @@ TEST(Faults, FatalTransportErrorWithExportAttachedDoesNotDeadlock) {
 // errors after releasing it; this test wedges on regression.
 TEST(Faults, AbortWhileHoldingPassiveLockUnwedgesSelfLockWaiter) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     cfg.wait_deadline_seconds = 5.0;
     World world(reg, cfg);
     world.register_program("locker", [](Rank& r, const std::vector<std::string>&) {
@@ -693,7 +681,7 @@ TEST(Faults, KillMidFenceFailsSurvivorsWithProcFailed) {
     instr::Registry reg;
     // Mpich: the counter/token fence path (LAM's fence rides the
     // barrier, which CrashInCollective already covers).
-    World::Config cfg = faulted_cfg(Flavor::Mpich, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Mpich);
     // Calls: MPI_Init, MPI_Win_create, boom entering the first fence.
     cfg.faults->kill_at_call(1, 3);
     World world(reg, cfg);
@@ -729,7 +717,7 @@ TEST(Faults, KillMidFenceFailsSurvivorsWithProcFailed) {
 
 TEST(Faults, KillLockHolderFailsQueuedWaitersWithErrRank) {
     instr::Registry reg;
-    World::Config cfg = faulted_cfg(Flavor::Lam, CollAlgo::Tree);
+    World::Config cfg = faulted_cfg(Flavor::Lam);
     // Rank 1's calls: Init, Win_create, Win_lock, boom in the barrier
     // it enters while still holding rank 0's exclusive lock.
     cfg.faults->kill_at_call(1, 4);
@@ -774,7 +762,7 @@ TEST(Faults, WinFreeWithHeldLockIsRefusedThenSucceeds) {
     // must refuse (MPI_ERR_WIN) while the lock is held, never park the
     // freer in the collective, and succeed once the lock is gone.
     instr::Registry reg;
-    World world(reg, faulted_cfg(Flavor::Lam, CollAlgo::Tree));
+    World world(reg, faulted_cfg(Flavor::Lam));
     Observed obs;
     std::atomic<bool> locked{false}, refused{false}, unlocked{false};
     world.register_program("app", [&](Rank& r, const std::vector<std::string>&) {

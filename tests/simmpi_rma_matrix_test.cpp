@@ -1,6 +1,6 @@
 // Table-1 RMA counter matrix: {Put, Get, Accumulate} x {fence, PSCW,
-// lock-shared, lock-exclusive} x {2, 5, 16, 64, 256} ranks x {Lam,
-// Mpich},
+// lock-shared, lock-exclusive, fence epochs then own-target lock
+// epochs on one window} x {2, 5, 16, 64, 256} ranks x {Lam, Mpich},
 // asserting the per-window op/byte counters against hand-derived
 // counts.  Lam runs every transfer on the direct-apply path; Mpich
 // routes PSCW transfers through the staged queue -- the totals must be
@@ -19,7 +19,7 @@
 namespace m2p::simmpi {
 namespace {
 
-enum class SyncMode { Fence, Pscw, LockShared, LockExcl };
+enum class SyncMode { Fence, Pscw, LockShared, LockExcl, FenceThenLock };
 
 const char* mode_name(SyncMode m) {
     switch (m) {
@@ -27,6 +27,7 @@ const char* mode_name(SyncMode m) {
         case SyncMode::Pscw: return "Pscw";
         case SyncMode::LockShared: return "LockShared";
         case SyncMode::LockExcl: return "LockExcl";
+        case SyncMode::FenceThenLock: return "FenceThenLock";
     }
     return "?";
 }
@@ -34,6 +35,8 @@ const char* mode_name(SyncMode m) {
 /// Lock-mode iterations per rank (kept small: 16-rank cases still run
 /// 16 * kIters serialized critical sections).
 constexpr int kIters = 4;
+/// Fence epochs FenceThenLock runs before its lock epochs.
+constexpr int kFenceEpochs = 3;
 
 class RmaMatrixTest : public ::testing::TestWithParam<std::tuple<Flavor, int, SyncMode>> {
 protected:
@@ -263,6 +266,68 @@ TEST_P(RmaMatrixTest, CountersMatchHandDerived) {
             EXPECT_EQ(snap.sync_ops, (2 + 2 * kIters) * N);
             break;
         }
+        case SyncMode::FenceThenLock: {
+            // Every rank: kFenceEpochs fence epochs of 2 Puts, 1 Get and
+            // 1 Acc to its ring neighbor, then kIters exclusive-lock
+            // epochs of 1 Put and 1 Acc on its own window slot -- both
+            // sync modes flushing into one window's counters.
+            snap = run(n, [n](Rank& r, std::atomic<Win>& win_out) {
+                r.MPI_Init();
+                const Comm w = r.MPI_COMM_WORLD();
+                int me = 0;
+                r.MPI_Comm_rank(w, &me);
+                std::vector<std::int32_t> mem(8, 0);
+                Win win = MPI_WIN_NULL;
+                ASSERT_EQ(r.MPI_Win_create(mem.data(), 32, 4, MPI_INFO_NULL, w, &win),
+                          MPI_SUCCESS);
+                if (me == 0) win_out = win;
+                const int t = (me + 1) % n;
+                const std::int32_t v[2] = {me, me + 1}, one[2] = {1, 1};
+                std::int32_t got[2] = {-1, -1};
+                ASSERT_EQ(r.MPI_Win_fence(0, win), MPI_SUCCESS);
+                for (int e = 0; e < kFenceEpochs; ++e) {
+                    ASSERT_EQ(r.MPI_Put(v, 2, MPI_INT, t, 0, 2, MPI_INT, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Put(v, 2, MPI_INT, t, 2, 2, MPI_INT, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Get(got, 2, MPI_INT, t, 4, 2, MPI_INT, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Accumulate(one, 2, MPI_INT, t, 6, 2, MPI_INT,
+                                               MPI_SUM, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Win_fence(0, win), MPI_SUCCESS);
+                }
+                EXPECT_EQ(got[0], 0);  // slots 4..5 are never written
+                for (int it = 0; it < kIters; ++it) {
+                    ASSERT_EQ(r.MPI_Win_lock(MPI_LOCK_EXCLUSIVE, me, 0, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Put(v, 2, MPI_INT, me, 0, 2, MPI_INT, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Accumulate(one, 2, MPI_INT, me, 6, 2, MPI_INT,
+                                               MPI_SUM, win),
+                              MPI_SUCCESS);
+                    ASSERT_EQ(r.MPI_Win_unlock(me, win), MPI_SUCCESS);
+                }
+                r.MPI_Barrier(w);
+                const int prev = (me - 1 + n) % n;
+                EXPECT_EQ(mem[0], me);
+                EXPECT_EQ(mem[2], prev);
+                EXPECT_EQ(mem[6], kFenceEpochs + kIters);
+                EXPECT_EQ(mem[7], kFenceEpochs + kIters);
+                ASSERT_EQ(r.MPI_Win_free(&win), MPI_SUCCESS);
+                r.MPI_Finalize();
+            });
+            const std::int64_t N = n, E = kFenceEpochs, L = kIters;
+            EXPECT_EQ(snap.put_ops, (2 * E + L) * N);
+            EXPECT_EQ(snap.put_bytes, 8 * (2 * E + L) * N);
+            EXPECT_EQ(snap.get_ops, E * N);
+            EXPECT_EQ(snap.get_bytes, 8 * E * N);
+            EXPECT_EQ(snap.acc_ops, (E + L) * N);
+            EXPECT_EQ(snap.acc_bytes, 8 * (E + L) * N);
+            // Per rank: create + (1 + E) fences + L * (lock + unlock) + free.
+            EXPECT_EQ(snap.sync_ops, (3 + E + 2 * L) * N);
+            break;
+        }
     }
     // Derived totals are computed from the base counters at snapshot
     // time -- always internally consistent.
@@ -284,7 +349,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Flavor::Lam, Flavor::Mpich),
                        ::testing::Values(2, 5, 16, 64, 256),
                        ::testing::Values(SyncMode::Fence, SyncMode::Pscw,
-                                         SyncMode::LockShared, SyncMode::LockExcl)),
+                                         SyncMode::LockShared, SyncMode::LockExcl,
+                                         SyncMode::FenceThenLock)),
     case_name);
 
 }  // namespace
