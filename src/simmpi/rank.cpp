@@ -50,34 +50,38 @@ std::int64_t as_arg(const void* p) {
 // (DESIGN.md sections 9 and 12).  Every caller loops re-checking its
 // predicate, so spurious wakeups are harmless.
 
-// Park waiting for a message to land in @p mb (only the owning rank
-// ever waits here, so a single waiter slot suffices).
-void wait_for_msg(Mailbox& mb, std::unique_lock<std::mutex>& lk,
-                  std::chrono::steady_clock::time_point deadline) {
-    const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
-    ++mb.msg_waiters;
-    mb.msg_waiter = tok;
-    lk.unlock();
-    tok->park_until(deadline);
-    lk.lock();
-    if (mb.msg_waiter == tok) mb.msg_waiter.reset();
-    --mb.msg_waiters;
+// Advances @p link through a mailbox's private queue to the first
+// envelope matching @p pred; false when it reached the queue's tail
+// instead (a take_inbox then appends right at @p link).
+template <class Pred>
+bool seek(Envelope**& link, Pred&& pred) {
+    for (; *link != nullptr; link = &(*link)->next)
+        if (pred(**link)) return true;
+    return false;
 }
 
-// Park waiting for eager flow-control headroom in @p mb.  Many senders
-// can be parked here at once, so each registers its own token.
-void wait_for_space(Mailbox& mb, std::unique_lock<std::mutex>& lk,
-                    std::chrono::steady_clock::time_point deadline) {
+// A node from the sending rank's own mailbox @p own holding one
+// message: its header and a copy of the @p bytes at @p buf.
+Envelope* fill_node(Mailbox& own, int src_global, int src_cr, int tag,
+                    std::int64_t context, const void* buf, std::size_t bytes) {
+    Envelope* env = own.take_node(bytes);
+    env->src_global = src_global;
+    env->src_comm_rank = src_cr;
+    env->tag = tag;
+    env->context = context;
+    if (bytes > 0) std::memcpy(env->data.data(), buf, bytes);
+    return env;
+}
+
+// Park waiting for a message to land in @p mb (only the owning rank
+// ever reads it).  Parked senders are released first: with credit
+// returned in batches, the message this receiver waits for may be
+// theirs, held back while the queue is above half its capacity.
+void wait_for_msg(Mailbox& mb, WaitDeadline& deadline) {
+    mb.release_senders();
     const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
-    mb.flow_stalls.fetch_add(1, std::memory_order_relaxed);
-    ++mb.space_waiters;
-    mb.space_tokens.push_back(tok);
-    lk.unlock();
-    tok->park_until(deadline);
-    lk.lock();
-    auto& v = mb.space_tokens;
-    v.erase(std::remove(v.begin(), v.end(), tok), v.end());
-    --mb.space_waiters;
+    if (mb.prepare_wait(tok)) tok->park_until(deadline.at());
+    mb.end_wait();
 }
 
 }  // namespace
@@ -155,10 +159,8 @@ void Rank::check_poisoned() const {
                          ")"};
 }
 
-std::chrono::steady_clock::time_point Rank::wait_deadline() const {
-    return std::chrono::steady_clock::now() +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(world_.config().wait_deadline_seconds));
+WaitDeadline Rank::wait_deadline() const {
+    return WaitDeadline(world_.config().wait_deadline_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,8 +221,9 @@ int Rank::MPI_Init_thread(int required, int* provided) {
         return MPI_ERR_ARG;
     const int rc = MPI_Init();
     if (rc != MPI_SUCCESS) return rc;
-    // Ranks are threads of one address space and every internal
-    // structure is lock-protected: MULTIPLE is always available.
+    // Every level is granted as asked.  A rank's MPI calls still all
+    // run on its own fiber or thread: its request lists and its
+    // mailbox's private queue have that one context as their reader.
     thread_level_ = required;
     *provided = required;
     return MPI_SUCCESS;
@@ -474,68 +477,59 @@ int Rank::send_body(const void* buf, int count, Datatype dt, int dest, int tag, 
     const bool rendezvous =
         mode == SendMode::Synchronous ||
         (mode == SendMode::Standard && bytes > kEagerLimit);
+    const std::size_t cost = bytes + kEnvelopeOverhead;
+    const std::size_t capacity = world_.config().mailbox_capacity;
     std::shared_ptr<DeliveryToken> token;
-    std::shared_ptr<sched::WaitToken> wake_msg;
-    {
-        std::unique_lock lk(mb.mu);
-        if (!rendezvous && mode == SendMode::Standard) {
-            // Eager flow control: park while the destination queue is
-            // full; the receiver unparks us as it drains.
-            const auto deadline = wait_deadline();
-            while (mb.bytes_queued + bytes + kEnvelopeOverhead >
-                   world_.config().mailbox_capacity) {
-                // Evaluate the doom predicates under mb.mu, but run the
-                // error paths only after dropping it: check_poisoned and
-                // comm_error may detach window shards (shard mutexes)
-                // or poison the world, neither of which may happen
-                // while a mailbox mutex is held.
-                int err = MPI_SUCCESS;
-                if (comm_revoked(cd))
-                    err = MPI_ERR_REVOKED;
-                else if (world_.death_epoch() != 0 &&
-                         (world_.poisoned() ||
-                          world_.rank_unreachable(dest_global)))
-                    err = MPI_ERR_RANK;
-                else if (std::chrono::steady_clock::now() >= deadline)
-                    err = MPI_ERR_OTHER;
-                if (err != MPI_SUCCESS) {
-                    lk.unlock();
-                    check_poisoned();  // throws when the world is poisoned
-                    return comm_error(c, err);
-                }
-                wait_for_space(mb, lk, deadline);
+    if (rendezvous) {
+        token = std::make_shared<DeliveryToken>();  // not charged against capacity
+    } else if (mode != SendMode::Standard) {
+        mb.charge(cost);
+    } else if (!mb.try_reserve(cost, capacity)) {
+        // Eager flow control: park until the receiver returns credit.
+        // The token is registered before the re-check, so a drain the
+        // re-check misses finds it (DESIGN.md section 8).  The error
+        // paths run with no lock held: check_poisoned and comm_error
+        // may detach window shards or poison the world.
+        const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
+        WaitDeadline deadline = wait_deadline();
+        for (;;) {
+            int err = MPI_SUCCESS;
+            if (comm_revoked(cd))
+                err = MPI_ERR_REVOKED;
+            else if (world_.death_epoch() != 0 &&
+                     (world_.poisoned() || world_.rank_unreachable(dest_global)))
+                err = MPI_ERR_RANK;
+            else if (deadline.expired())
+                err = MPI_ERR_OTHER;
+            if (err != MPI_SUCCESS) {
+                check_poisoned();  // throws when the world is poisoned
+                return comm_error(c, err);
             }
+            mb.add_space_waiter(tok);
+            if (mb.bytes_queued.load(std::memory_order_seq_cst) + cost > capacity) {
+                mb.flow_stalls.fetch_add(1, std::memory_order_relaxed);
+                tok->park_until(deadline.at());
+            }
+            mb.remove_space_waiter(tok);
+            if (mb.try_reserve(cost, capacity)) break;
         }
-        Envelope env;
-        env.src_global = global_;
-        env.src_comm_rank = src_cr;
-        env.tag = tag;
-        env.context = cd.context;
-        env.data = mb.take_buf_locked(bytes);
-        if (bytes > 0) std::memcpy(env.data.data(), buf, bytes);
-        if (rendezvous) {
-            token = std::make_shared<DeliveryToken>();
-            env.delivered = token;  // not charged against mailbox capacity
-        } else {
-            mb.bytes_queued += bytes + kEnvelopeOverhead;
-        }
-        mb.queue.push_back(std::move(env));
-        mb.note_queued_locked(rendezvous);
-        wake_msg = mb.msg_waiter;
     }
-    if (wake_msg) wake_msg->unpark();
+    Envelope* env =
+        fill_node(world_.mailbox(global_), global_, src_cr, tag, cd.context, buf, bytes);
+    env->delivered = token;
+    mb.push(env);
     // Rendezvous: block until the receiver has copied the payload.  The
     // token wakes only this sender.  Abandon the wait when the receiver
     // dies first (its mailbox keeps the orphan envelope, but nothing
     // will ever drain it).
     if (token) {
-        const auto deadline = wait_deadline();
+        WaitDeadline deadline = wait_deadline();
         const bool delivered = token->wait_or_abandon(
             [&] {
                 return world_.poisoned() || comm_revoked(cd) ||
                        (world_.death_epoch() != 0 &&
                         world_.rank_unreachable(dest_global)) ||
-                       std::chrono::steady_clock::now() >= deadline;
+                       deadline.expired();
             },
             deadline);
         if (!delivered) {
@@ -588,53 +582,42 @@ int Rank::recv_body(void* buf, int count, Datatype dt, int src, int tag, Comm c,
     const int src_global = src == MPI_ANY_SOURCE
                                ? -1
                                : dest_group(cd)[static_cast<std::size_t>(src)];
-    const auto deadline = wait_deadline();
-
-    std::unique_lock lk(mb.mu);
+    const auto match = [&](const Envelope& e) {
+        return e.context == want_ctx && (tag == MPI_ANY_TAG || e.tag == tag) &&
+               (src == MPI_ANY_SOURCE || e.src_comm_rank == src);
+    };
+    WaitDeadline deadline = wait_deadline();
+    Envelope** link = mb.queue_head();
     for (;;) {
-        auto it = std::find_if(mb.queue.begin(), mb.queue.end(), [&](const Envelope& e) {
-            return e.context == want_ctx && (tag == MPI_ANY_TAG || e.tag == tag) &&
-                   (src == MPI_ANY_SOURCE || e.src_comm_rank == src);
-        });
-        if (it != mb.queue.end()) {
-            Envelope env = std::move(*it);
-            mb.queue.erase(it);
-            mb.note_delivered_locked(env.data.size());
-            const bool truncated = env.data.size() > cap;
-            const std::size_t n = std::min(env.data.size(), cap);
-            if (n > 0) std::memcpy(buf, env.data.data(), n);
+        if (seek(link, match)) {
+            Envelope* env = mb.unlink(link);
+            const std::size_t size = env->data.size();
+            mb.note_delivered(size);
+            const bool truncated = size > cap;
+            const std::size_t n = std::min(size, cap);
+            if (n > 0) std::memcpy(buf, env->data.data(), n);
             if (st) {
-                st->MPI_SOURCE = env.src_comm_rank;
-                st->MPI_TAG = env.tag;
+                st->MPI_SOURCE = env->src_comm_rank;
+                st->MPI_TAG = env->tag;
                 st->count_bytes = static_cast<int>(n);
                 st->MPI_ERROR = truncated ? MPI_ERR_COUNT : MPI_SUCCESS;
             }
-            std::vector<std::shared_ptr<sched::WaitToken>> wake_space;
-            if (!env.delivered) {
-                mb.bytes_queued -= env.data.size() + kEnvelopeOverhead;
-                wake_space.swap(mb.space_tokens);
-            }
-            mb.recycle_locked(std::move(env.data));
-            lk.unlock();
-            // Wake every parked sender: they need different amounts of
-            // room, so the frontmost waiter alone may not be the one
-            // that fits.
-            sched::unpark_all(wake_space);
-            if (env.delivered) env.delivered->signal();
+            const int env_tag = env->tag;
+            const int env_src = env->src_global;
+            const std::shared_ptr<DeliveryToken> delivered = std::move(env->delivered);
+            if (!delivered)
+                mb.credit(size + kEnvelopeOverhead, world_.config().mailbox_capacity);
+            Mailbox::give_back(env);
+            if (delivered) delivered->signal();
             if (!internal_traffic)
                 world_.trace_call_payload(trace::EventKind::Pt2ptRecv,
-                                          static_cast<std::int64_t>(n), env.tag,
-                                          env.src_global);
+                                          static_cast<std::int64_t>(n), env_tag, env_src);
             return truncated ? MPI_ERR_COUNT : MPI_SUCCESS;
         }
-        // No queued match.  The scan above ran under mb.mu, and peers
-        // enqueue under mb.mu before they can die or finish, so bailing
-        // here cannot lose a message that was actually delivered.
-        // Revocation is checked first and independently of the death
-        // epoch: a communicator can be revoked with zero deaths.  The
-        // verdict is computed under mb.mu; the error paths run after
-        // dropping it (check_poisoned/comm_error may take shard mutexes
-        // via rma_detach_all, or poison the world).
+        if (mb.take_inbox()) continue;  // the new envelopes start at link
+        // No match.  Revocation is checked first and independently of
+        // the death epoch: a communicator can be revoked with zero
+        // deaths.
         int err = MPI_SUCCESS;
         if (comm_revoked(cd)) {
             err = MPI_ERR_REVOKED;
@@ -657,14 +640,16 @@ int Rank::recv_body(void* buf, int count, Datatype dt, int src, int tag, Comm c,
                 if (!any_alive) err = MPI_ERR_RANK;
             }
         }
-        if (err == MPI_SUCCESS && std::chrono::steady_clock::now() >= deadline)
-            err = MPI_ERR_OTHER;
+        if (err == MPI_SUCCESS && deadline.expired()) err = MPI_ERR_OTHER;
         if (err != MPI_SUCCESS) {
-            lk.unlock();
+            // A sender pushes before its death or finish is published,
+            // so one more take after the verdict sees everything it
+            // sent; only an empty inbox makes the verdict final.
+            if (mb.take_inbox()) continue;
             check_poisoned();  // throws when the world is poisoned
             return comm_error(c, err);
         }
-        wait_for_msg(mb, lk, deadline);
+        wait_for_msg(mb, deadline);
     }
 }
 
@@ -684,30 +669,33 @@ int Rank::probe_body(int src, int tag, Comm c, int* flag, Status* st, bool block
         return MPI_SUCCESS;
     }
     Mailbox& mb = world_.mailbox(global_);
-    const auto deadline = wait_deadline();
-    std::unique_lock lk(mb.mu);
+    const auto match = [&](const Envelope& e) {
+        return e.context == cd.context && (tag == MPI_ANY_TAG || e.tag == tag) &&
+               (src == MPI_ANY_SOURCE || e.src_comm_rank == src);
+    };
+    WaitDeadline deadline = wait_deadline();
+    Envelope** link = mb.queue_head();
     for (;;) {
-        const auto it =
-            std::find_if(mb.queue.begin(), mb.queue.end(), [&](const Envelope& e) {
-                return e.context == cd.context && (tag == MPI_ANY_TAG || e.tag == tag) &&
-                       (src == MPI_ANY_SOURCE || e.src_comm_rank == src);
-            });
-        if (it != mb.queue.end()) {
+        if (seek(link, match)) {
+            const Envelope& e = **link;
             if (flag) *flag = 1;
             if (st) {
-                st->MPI_SOURCE = it->src_comm_rank;
-                st->MPI_TAG = it->tag;
-                st->count_bytes = static_cast<int>(it->data.size());
+                st->MPI_SOURCE = e.src_comm_rank;
+                st->MPI_TAG = e.tag;
+                st->count_bytes = static_cast<int>(e.data.size());
                 st->MPI_ERROR = MPI_SUCCESS;
             }
             return MPI_SUCCESS;
         }
+        if (mb.take_inbox()) continue;
         if (!blocking) {
+            // A polling receiver releases parked senders too, or an
+            // Iprobe loop could wait on a message held back by batched
+            // credit.
+            mb.release_senders();
             if (flag) *flag = 0;
             return MPI_SUCCESS;
         }
-        // As in recv_body: verdicts under mb.mu, error paths (which may
-        // detach shards or poison the world) after dropping it.
         int err = MPI_SUCCESS;
         if (comm_revoked(cd)) {
             err = MPI_ERR_REVOKED;
@@ -727,14 +715,13 @@ int Rank::probe_body(int src, int tag, Comm c, int* flag, Status* st, bool block
                 if (!any_alive) err = MPI_ERR_RANK;
             }
         }
-        if (err == MPI_SUCCESS && std::chrono::steady_clock::now() >= deadline)
-            err = MPI_ERR_OTHER;
+        if (err == MPI_SUCCESS && deadline.expired()) err = MPI_ERR_OTHER;
         if (err != MPI_SUCCESS) {
-            lk.unlock();
+            if (mb.take_inbox()) continue;  // as in recv_body
             check_poisoned();  // throws when the world is poisoned
             return comm_error(c, err);
         }
-        wait_for_msg(mb, lk, deadline);
+        wait_for_msg(mb, deadline);
     }
 }
 
@@ -750,65 +737,48 @@ int Rank::MPI_Iprobe(int src, int tag, Comm c, int* flag, Status* st) {
 }
 
 void Rank::internal_send(const void* buf, int bytes, int dest_cr, int tag, CommData& c) {
-    const int src_cr = my_rank_in(c);
     const int dest_global = c.group[static_cast<std::size_t>(dest_cr)];
     Mailbox& mb = world_.mailbox(dest_global);
-    std::shared_ptr<sched::WaitToken> wake_msg;
-    {
-        std::lock_guard lk(mb.mu);
-        Envelope env;
-        env.src_global = global_;
-        env.src_comm_rank = src_cr;
-        env.tag = tag;
-        env.context = c.context + 1;  // collective side channel
-        env.data = mb.take_buf_locked(static_cast<std::size_t>(bytes));
-        if (bytes > 0) std::memcpy(env.data.data(), buf, static_cast<std::size_t>(bytes));
-        mb.bytes_queued += env.data.size() + kEnvelopeOverhead;
-        mb.queue.push_back(std::move(env));
-        mb.note_queued_locked(/*rendezvous=*/false);
-        wake_msg = mb.msg_waiter;
-    }
-    if (wake_msg) wake_msg->unpark();
+    const auto n = static_cast<std::size_t>(bytes);
+    mb.charge(n + kEnvelopeOverhead);
+    // Context + 1: the collective side channel.
+    mb.push(fill_node(world_.mailbox(global_), global_, my_rank_in(c), tag,
+                      c.context + 1, buf, n));
 }
 
 bool Rank::internal_recv(void* buf, int bytes, int src_cr, int tag, CommData& c) {
     const std::int64_t want_ctx = c.context + 1;
     Mailbox& mb = world_.mailbox(global_);
-    const auto deadline = wait_deadline();
-    std::unique_lock lk(mb.mu);
+    const auto match = [&](const Envelope& e) {
+        return e.context == want_ctx && e.tag == tag && e.src_comm_rank == src_cr;
+    };
+    WaitDeadline deadline = wait_deadline();
+    Envelope** link = mb.queue_head();
     for (;;) {
-        auto it = std::find_if(mb.queue.begin(), mb.queue.end(), [&](const Envelope& e) {
-            return e.context == want_ctx && e.tag == tag && e.src_comm_rank == src_cr;
-        });
-        if (it != mb.queue.end()) {
-            const std::size_t n =
-                std::min(it->data.size(), static_cast<std::size_t>(bytes));
-            if (n > 0) std::memcpy(buf, it->data.data(), n);
-            mb.note_delivered_locked(it->data.size());
-            mb.bytes_queued -= it->data.size() + kEnvelopeOverhead;
-            mb.recycle_locked(std::move(it->data));
-            mb.queue.erase(it);
-            std::vector<std::shared_ptr<sched::WaitToken>> wake_space;
-            wake_space.swap(mb.space_tokens);
-            lk.unlock();
-            sched::unpark_all(wake_space);
+        if (seek(link, match)) {
+            Envelope* env = mb.unlink(link);
+            const std::size_t size = env->data.size();
+            const std::size_t n = std::min(size, static_cast<std::size_t>(bytes));
+            if (n > 0) std::memcpy(buf, env->data.data(), n);
+            mb.note_delivered(size);
+            mb.credit(size + kEnvelopeOverhead, world_.config().mailbox_capacity);
+            Mailbox::give_back(env);
             return true;
         }
-        // Already-queued traffic was drained above; once the comm is
-        // revoked or a member of the collective is dead the operation
-        // can never complete.
-        if (comm_revoked(c)) return false;
-        if (world_.death_epoch() != 0) {
-            if (world_.poisoned()) {
-                // check_poisoned detaches window shards; never under
-                // mb.mu.  poisoned() is monotone, so it surely throws.
-                lk.unlock();
-                check_poisoned();
-            }
-            if (world_.comm_has_dead_member(c)) return false;
+        if (mb.take_inbox()) continue;
+        // Queued traffic is drained; once the comm is revoked or a
+        // member of the collective is dead the operation can never
+        // complete (after one more take, as in recv_body).
+        bool doomed = comm_revoked(c);
+        if (!doomed && world_.death_epoch() != 0) {
+            check_poisoned();  // throws when the world is poisoned
+            doomed = world_.comm_has_dead_member(c);
         }
-        if (std::chrono::steady_clock::now() >= deadline) return false;
-        wait_for_msg(mb, lk, deadline);
+        if (doomed || deadline.expired()) {
+            if (mb.take_inbox()) continue;
+            return false;
+        }
+        wait_for_msg(mb, deadline);
     }
 }
 
@@ -821,13 +791,13 @@ bool Rank::barrier_internal(CommData& c) {
     // A waiter that gives up withdraws its arrival, so the count stays
     // consistent for survivors that bail later (every survivor fails
     // this barrier alike).
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     const bool closed = c.gate.arrive_and_wait(
         gate_slot(c, global_),
         [&] {
             return world_.poisoned() || comm_revoked(c) ||
                    (world_.death_epoch() != 0 && world_.comm_has_dead_member(c)) ||
-                   std::chrono::steady_clock::now() >= deadline;
+                   deadline.expired();
         },
         deadline);
     if (!closed) check_poisoned();
@@ -1005,7 +975,7 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
         reduce_combine(cell.acc.data(), sbuf, count, dt, op);
     }
     ++cell.arrived;
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
     if (!leader) {
         // Last arriver hands the full node to the (parked) leader.
@@ -1013,7 +983,7 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
         for (;;) {
             cell.waiters.push_back(tok);
             lk.unlock();
-            tok->park_until(deadline);
+            tok->park_until(deadline.at());
             lk.lock();
             auto& v = cell.waiters;
             v.erase(std::remove(v.begin(), v.end(), tok), v.end());
@@ -1021,7 +991,7 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
             const bool doomed =
                 world_.poisoned() || comm_revoked(c) ||
                 (world_.death_epoch() != 0 && world_.comm_has_dead_member(c)) ||
-                std::chrono::steady_clock::now() >= deadline;
+                deadline.expired();
             if (doomed) {
                 // The fold already consumed this rank's contribution,
                 // so no withdrawal: flag the round instead and let the
@@ -1053,14 +1023,14 @@ bool Rank::coll_allreduce_tree(const void* sbuf, void* rbuf, int count, Datatype
     while (cell.arrived < k && !cell.failed) {
         cell.leader_waiter = tok;
         lk.unlock();
-        tok->park_until(deadline);
+        tok->park_until(deadline.at());
         lk.lock();
         if (cell.leader_waiter == tok) cell.leader_waiter.reset();
         if (cell.arrived >= k || cell.failed) break;
         const bool doomed =
             world_.poisoned() || comm_revoked(c) ||
             (world_.death_epoch() != 0 && world_.comm_has_dead_member(c)) ||
-            std::chrono::steady_clock::now() >= deadline;
+            deadline.expired();
         if (doomed) {
             publish(false, {});
             check_poisoned();
@@ -1238,33 +1208,19 @@ int Rank::PMPI_Isend(const void* buf, int count, Datatype dt, int dest, int tag,
     rd.owner_global = global_;
     rd.dest_mailbox = dest_global;
     rd.comm = c;
-    std::shared_ptr<sched::WaitToken> wake_msg;
-    {
-        std::lock_guard lk(mb.mu);
-        Envelope env;
-        env.src_global = global_;
-        env.src_comm_rank = src_cr;
-        env.tag = tag;
-        env.context = cd.context;
-        env.data = mb.take_buf_locked(bytes);
-        if (bytes > 0) std::memcpy(env.data.data(), buf, bytes);
-        if (bytes <= kEagerLimit &&
-            mb.bytes_queued + bytes + kEnvelopeOverhead <=
-                world_.config().mailbox_capacity) {
-            mb.bytes_queued += bytes + kEnvelopeOverhead;
-            rd.kind = RequestKind::Completed;
-        } else {
-            // Large (or flow-controlled) nonblocking send: completion is
-            // deferred to MPI_Wait via a delivery token.
-            rd.kind = RequestKind::SendToken;
-            rd.delivered = std::make_shared<DeliveryToken>();
-            env.delivered = rd.delivered;
-        }
-        mb.queue.push_back(std::move(env));
-        mb.note_queued_locked(rd.kind == RequestKind::SendToken);
-        wake_msg = mb.msg_waiter;
+    if (bytes <= kEagerLimit &&
+        mb.try_reserve(bytes + kEnvelopeOverhead, world_.config().mailbox_capacity)) {
+        rd.kind = RequestKind::Completed;
+    } else {
+        // Large (or flow-controlled) nonblocking send: completion is
+        // deferred to MPI_Wait via a delivery token.
+        rd.kind = RequestKind::SendToken;
+        rd.delivered = std::make_shared<DeliveryToken>();
     }
-    if (wake_msg) wake_msg->unpark();
+    Envelope* env =
+        fill_node(world_.mailbox(global_), global_, src_cr, tag, cd.context, buf, bytes);
+    env->delivered = rd.delivered;
+    mb.push(env);
     *req = world_.create_request(std::move(rd));
     return MPI_SUCCESS;
 }
@@ -1311,7 +1267,7 @@ int Rank::wait_one(RequestData& rd, Status* st) {
         case RequestKind::Null:
         case RequestKind::Completed: return MPI_SUCCESS;
         case RequestKind::SendToken: {
-            const auto deadline = wait_deadline();
+            WaitDeadline deadline = wait_deadline();
             const int dest = rd.dest_mailbox;
             CommData& cd = world_.comm(rd.comm);
             const bool delivered = rd.delivered->wait_or_abandon(
@@ -1319,7 +1275,7 @@ int Rank::wait_one(RequestData& rd, Status* st) {
                     return world_.poisoned() || comm_revoked(cd) ||
                            (world_.death_epoch() != 0 &&
                             world_.rank_unreachable(dest)) ||
-                           std::chrono::steady_clock::now() >= deadline;
+                           deadline.expired();
                 },
                 deadline);
             if (delivered) return MPI_SUCCESS;

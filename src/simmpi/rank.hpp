@@ -35,8 +35,9 @@ public:
 
     // ---- Environment -----------------------------------------------------
     int MPI_Init();
-    /// MPI-2 thread support: simmpi's engine is fully thread-safe, so
-    /// every requested level up to MPI_THREAD_MULTIPLE is granted.
+    /// MPI-2 thread support: every requested level up to
+    /// MPI_THREAD_MULTIPLE is granted; a rank's calls run on its own
+    /// fiber or thread.
     int MPI_Init_thread(int required, int* provided);
     int MPI_Query_thread(int* provided) const;
     int MPI_Finalize();
@@ -291,9 +292,9 @@ private:
     /// fatal error elsewhere), so blocked ranks unwind promptly.
     void check_poisoned() const;
     /// Deadline for liveness-checked waits (Config::wait_deadline_seconds
-    /// from now): the backstop for wedges no death explains, e.g. a cycle
-    /// caused by a dropped message.
-    std::chrono::steady_clock::time_point wait_deadline() const;
+    /// from the wait's first park): the backstop for wedges no death
+    /// explains, e.g. a cycle caused by a dropped message.
+    WaitDeadline wait_deadline() const;
 
     enum class SendMode {
         Standard,     ///< eager below the limit, rendezvous above

@@ -293,13 +293,13 @@ int Rank::PMPI_Win_fence(int assert, Win win) {
     // MPICH2: internal fence counter; the waiting time is charged to
     // MPI_Win_fence itself.  The closing arrival wakes every parked
     // rank in one batch -- no lock, no shared condition variable.
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     const bool closed = w.fence.arrive_and_wait(
         static_cast<std::size_t>(my_rank_in(cd)),
         [&] {
             return world_.poisoned() || comm_revoked(cd) ||
                    (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd)) ||
-                   std::chrono::steady_clock::now() >= deadline;
+                   deadline.expired();
         },
         deadline);
     if (closed) return MPI_SUCCESS;
@@ -322,7 +322,7 @@ int Rank::MPI_Win_start(Group grp, int assert, Win win) {
 /// exactly once.  A wakeup that does not satisfy this origin (a post
 /// for a group excluding it) re-registers and parks again.
 int Rank::rma_wait_exposure(WinData& w, WinShard& sh, int target) {
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     CommData& cd = world_.comm(w.comm);
     for (;;) {
         std::shared_ptr<DeliveryToken> tok;
@@ -342,7 +342,7 @@ int Rank::rma_wait_exposure(WinData& w, WinShard& sh, int target) {
                 return world_.poisoned() || comm_revoked(cd) ||
                        (world_.death_epoch() != 0 &&
                         world_.rank_unreachable(target)) ||
-                       std::chrono::steady_clock::now() >= deadline;
+                       deadline.expired();
             },
             deadline);
         if (!signalled) {
@@ -527,7 +527,7 @@ int Rank::PMPI_Win_wait(Win win) {
     // calls have been issued" (paper section 4.2.1).  The target parks
     // on its own token; each MPI_Win_complete hands it back for a
     // re-check, the last one satisfies it.
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     std::vector<int> post_group;
     for (;;) {
         std::shared_ptr<DeliveryToken> tok;
@@ -550,7 +550,7 @@ int Rank::PMPI_Win_wait(Win win) {
             [&] {
                 return world_.poisoned() || comm_revoked(cd) ||
                        (world_.death_epoch() != 0 && world_.any_dead(post_group)) ||
-                       std::chrono::steady_clock::now() >= deadline;
+                       deadline.expired();
             },
             deadline);
         if (!signalled) {
@@ -625,12 +625,12 @@ int Rank::PMPI_Win_lock(int lock_type, int rank, int assert, Win win) {
         me->lock_type = lock_type;
         pl.waiters.push_back(me);
     }
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     const auto doomed = [&] {
         if (world_.poisoned()) return true;
         if (comm_revoked(cd)) return true;
         if (w.freed.load(std::memory_order_acquire)) return true;
-        if (std::chrono::steady_clock::now() >= deadline) return true;
+        if (deadline.expired()) return true;
         if (world_.death_epoch() != 0) {
             if (world_.rank_dead(target)) return true;
             // A holder that died with the lock held will never unlock.

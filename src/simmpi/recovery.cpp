@@ -28,7 +28,7 @@ int Rank::ft_rendezvous(Comm c, CommData& cd, FtRendezvous& rv,
                         std::array<int, 2> vote, bool excuse_dead,
                         void (Rank::*close_round)(CommData&, FtRendezvous&),
                         int* out_flag, Comm* out_comm) {
-    const auto deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline();
     std::unique_lock lk(rv.mu);
     const std::uint64_t gen = rv.gen;
     rv.arrived.push_back(global_);
@@ -75,7 +75,7 @@ int Rank::ft_rendezvous(Comm c, CommData& cd, FtRendezvous& rv,
     while (rv.gen == gen) {
         rv.waiters.push_back(tok);
         lk.unlock();
-        tok->park_until(deadline);
+        tok->park_until(deadline.at());
         lk.lock();
         auto& v = rv.waiters;
         v.erase(std::remove(v.begin(), v.end(), tok), v.end());
@@ -85,8 +85,7 @@ int Rank::ft_rendezvous(Comm c, CommData& cd, FtRendezvous& rv,
         // deadline (deaths *help* them close); split is additionally
         // doomed by revocation or a dead member, like any collective.
         const bool doomed =
-            world_.poisoned() ||
-            std::chrono::steady_clock::now() >= deadline ||
+            world_.poisoned() || deadline.expired() ||
             (!excuse_dead &&
              (comm_revoked(cd) ||
               (world_.death_epoch() != 0 && world_.comm_has_dead_member(cd))));

@@ -4,6 +4,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -143,20 +144,15 @@ World::MailboxStats World::mailbox_stats() const {
     MailboxStats s;
     const int n = static_cast<int>(mailboxes_.size());
     for (int g = 0; g < n; ++g) {
-        Mailbox& mb = *const_cast<World*>(this)->mailboxes_.find(g);
+        const Mailbox& mb = *const_cast<World*>(this)->mailboxes_.find(g);
         s.eager_msgs += mb.eager_msgs.load(std::memory_order_relaxed);
         s.rendezvous_msgs += mb.rendezvous_msgs.load(std::memory_order_relaxed);
         s.delivered_msgs += mb.delivered_msgs.load(std::memory_order_relaxed);
         s.delivered_bytes += mb.delivered_bytes.load(std::memory_order_relaxed);
         s.flow_stalls += mb.flow_stalls.load(std::memory_order_relaxed);
+        s.bytes_queued += mb.bytes_queued.load(std::memory_order_relaxed);
         const std::uint64_t hwm = mb.bytes_queued_hwm.load(std::memory_order_relaxed);
         if (hwm > s.bytes_queued_hwm) s.bytes_queued_hwm = hwm;
-        {
-            // bytes_queued is plain state under mu; the gauge takes the
-            // brief lock (snapshot cadence, never the data path).
-            std::lock_guard lk(mb.mu);
-            s.bytes_queued += mb.bytes_queued;
-        }
     }
     return s;
 }
@@ -570,8 +566,8 @@ void World::record_death(Epitaph e) {
     // (faults.epitaphs and the terminal counter state) promptly; the
     // close() snapshot covers runs that end before the pass fires.
     // Asynchronous on purpose: record_death can run while the caller
-    // holds a mailbox or shard mutex, and a synchronous publish would
-    // re-take mailbox mutexes via the simmpi.mailbox.* gauges.
+    // holds an RMA shard mutex, and a publish polls every provider's
+    // reader; the dying rank's stack is no place for that pass.
     if (exporter_) exporter_->request_flush();
 }
 
@@ -637,16 +633,16 @@ void World::dump_state(const char* why) const {
     for (int g = 0; g < n; ++g) {
         const ProcData& p = *procs_.find(g);
         const char* lc = p.last_call.load(std::memory_order_relaxed);
-        std::size_t depth = 0, bytes = 0;
-        int msg_w = 0, space_w = 0;
-        {
-            Mailbox& mb = const_cast<World*>(this)->mailbox(g);
-            std::lock_guard lk(mb.mu);
-            depth = mb.queue.size();
-            bytes = mb.bytes_queued;
-            msg_w = mb.msg_waiters;
-            space_w = mb.space_waiters;
-        }
+        // Racy reads of the mailbox's atomics: the dump takes no lock
+        // the ranks it describes might hold.
+        const Mailbox& mb = const_cast<World*>(this)->mailbox(g);
+        const std::uint64_t queued = mb.eager_msgs.load(std::memory_order_relaxed) +
+                                     mb.rendezvous_msgs.load(std::memory_order_relaxed);
+        const std::uint64_t drained = mb.delivered_msgs.load(std::memory_order_relaxed);
+        const std::size_t depth = queued > drained ? queued - drained : 0;
+        const std::size_t bytes = mb.bytes_queued.load(std::memory_order_relaxed);
+        const int msg_w = mb.msg_waiter.load(std::memory_order_relaxed) != nullptr ? 1 : 0;
+        const int space_w = mb.space_waiters.load(std::memory_order_relaxed);
         std::fprintf(stderr,
                      "  rank %d (%s on %s): %s, last call %s (#%llu), "
                      "mailbox %zu msgs / %zu bytes, waiters msg=%d space=%d\n",
@@ -944,6 +940,71 @@ void World::free_request(Request r) {
 
 Mailbox& World::mailbox(int global_rank) {
     return mailboxes_.at(global_rank, "simmpi: bad mailbox rank");
+}
+
+// ---------------------------------------------------------------------------
+// Mailbox slow paths (the lock-free fast paths are inline in world.hpp)
+// ---------------------------------------------------------------------------
+
+Mailbox::~Mailbox() {
+    // Runs after every rank has been joined: each node sits in exactly
+    // one of these lists, whichever mailbox allocated it.
+    for (Envelope* list : {inbox.load(std::memory_order_relaxed), queue_, spares_,
+                           returned_.load(std::memory_order_relaxed)}) {
+        while (list != nullptr) {
+            Envelope* const next = list->next;
+            delete list;
+            list = next;
+        }
+    }
+}
+
+void Mailbox::add_space_waiter(const std::shared_ptr<sched::WaitToken>& tok) {
+    std::lock_guard lk(space_mu_);
+    space_tokens_.push_back(tok);
+    space_waiters.store(static_cast<int>(space_tokens_.size()), std::memory_order_seq_cst);
+}
+
+void Mailbox::remove_space_waiter(const std::shared_ptr<sched::WaitToken>& tok) {
+    std::lock_guard lk(space_mu_);
+    auto& v = space_tokens_;
+    v.erase(std::remove(v.begin(), v.end(), tok), v.end());
+    space_waiters.store(static_cast<int>(v.size()), std::memory_order_relaxed);
+}
+
+void Mailbox::release_senders() {
+    if (space_waiters.load(std::memory_order_seq_cst) == 0) return;
+    std::vector<std::shared_ptr<sched::WaitToken>> wake;
+    {
+        std::lock_guard lk(space_mu_);
+        wake.swap(space_tokens_);
+        space_waiters.store(0, std::memory_order_relaxed);
+    }
+    // They need different amounts of room, so all of them retry.
+    sched::unpark_all(wake);
+}
+
+bool Mailbox::prepare_wait(const std::shared_ptr<sched::WaitToken>& tok) {
+    if (std::find(waiter_refs_.begin(), waiter_refs_.end(), tok) == waiter_refs_.end())
+        waiter_refs_.push_back(tok);
+    msg_waiter.store(tok.get(), std::memory_order_seq_cst);
+    return inbox.load(std::memory_order_seq_cst) == nullptr;
+}
+
+void Mailbox::adopt_returned() {
+    Envelope* e = returned_.exchange(nullptr, std::memory_order_acquire);
+    while (e != nullptr) {
+        Envelope* const next = e->next;
+        const std::size_t size = sizeof(Envelope) + e->data.capacity();
+        if (spare_bytes_ + size <= kMaxSpareBytes) {
+            e->next = spares_;
+            spares_ = e;
+            spare_bytes_ += size;
+        } else {
+            delete e;
+        }
+        e = next;
+    }
 }
 
 // ---------------------------------------------------------------------------

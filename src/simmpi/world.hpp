@@ -46,6 +46,7 @@ namespace m2p::simmpi {
 
 class Rank;
 class World;
+struct Mailbox;
 
 /// An MPI program: what an executable's main() would be on a cluster.
 /// Registered under a command name so MPI_Comm_spawn can find it
@@ -54,8 +55,9 @@ using ProgramFn = std::function<void(Rank&, const std::vector<std::string>& argv
 
 /// Reusable payload storage: raw uninitialized bytes, so filling it
 /// costs one memcpy (a std::vector would zero every byte first, a
-/// second full write over the payload).  Buffers cycle sender ->
-/// queue -> receiver -> per-mailbox free list -> sender.
+/// second full write over the payload).  Buffers cycle with their
+/// envelope node: sender -> destination inbox -> receiver -> the
+/// sender's mailbox -> sender.
 class PayloadBuf {
 public:
     PayloadBuf() = default;
@@ -80,6 +82,34 @@ private:
     std::unique_ptr<std::byte[]> data_;
     std::size_t size_ = 0;
     std::size_t cap_ = 0;
+};
+
+/// A blocking wait's liveness deadline: Config::wait_deadline_seconds
+/// counted from the wait's first park, so a wait whose condition is
+/// already met reads no clock.  It bounds how long a wait may go
+/// without progress; waits re-check expired() after every wakeup.
+class WaitDeadline {
+public:
+    using time_point = std::chrono::steady_clock::time_point;
+
+    explicit WaitDeadline(double seconds) : seconds_(seconds) {}
+
+    /// The instant to park until; the first call starts the clock.
+    time_point at() {
+        if (at_ == time_point{})
+            at_ = std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(seconds_));
+        return at_;
+    }
+    /// True once the clock has started and the deadline has passed.
+    bool expired() const {
+        return at_ != time_point{} && std::chrono::steady_clock::now() >= at_;
+    }
+
+private:
+    double seconds_;
+    time_point at_{};
 };
 
 /// Rendezvous completion token: delivering one message wakes exactly
@@ -107,8 +137,7 @@ public:
     /// Signals still win races: the predicate is only consulted while
     /// done_ is false.
     template <class Abandoned>
-    bool wait_or_abandon(Abandoned&& abandoned,
-                         std::chrono::steady_clock::time_point deadline) {
+    bool wait_or_abandon(Abandoned&& abandoned, WaitDeadline& deadline) {
         if (done_.load(std::memory_order_acquire)) return true;
         const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
         for (;;) {
@@ -121,7 +150,7 @@ public:
                 if (done_.load(std::memory_order_acquire)) return true;
                 waiter_ = tok;
             }
-            tok->park_until(deadline);
+            tok->park_until(deadline.at());
             {
                 std::lock_guard lk(mu_);
                 waiter_.reset();
@@ -178,7 +207,7 @@ public:
     /// own deadline clause is re-evaluated.
     template <class Abandoned>
     bool arrive_and_wait(std::size_t member, Abandoned&& abandoned,
-                         std::chrono::steady_clock::time_point deadline) {
+                         WaitDeadline& deadline) {
         const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
         slots_.at(member) = tok;
         // k < n whenever anyone arrives (all n in means a close is in
@@ -202,9 +231,10 @@ public:
                 if ((w >> 32) != gen) return true;
                 // k == n: the closer holds our token and wakes it right
                 // after publishing; park without a deadline until then.
-                deadline = std::chrono::steady_clock::time_point::max();
+                tok->park_until(std::chrono::steady_clock::time_point::max());
+                continue;
             }
-            tok->park_until(deadline);
+            tok->park_until(deadline.at());
         }
     }
 
@@ -227,7 +257,11 @@ private:
     std::vector<std::shared_ptr<sched::WaitToken>> slots_;
 };
 
-/// One message in flight.
+/// One message in flight, and the list node that carries it.  A
+/// sender takes a node from its own mailbox's spares, fills it and
+/// pushes it onto the destination's inbox; the receiver hands it back
+/// to `home` once drained.  Steady-state traffic therefore allocates
+/// and frees nothing, on either side.
 struct Envelope {
     int src_global = -1;
     int src_comm_rank = -1;
@@ -237,6 +271,8 @@ struct Envelope {
     /// Rendezvous token: non-null when the sender blocks until the
     /// receiver has copied the payload (large messages).
     std::shared_ptr<DeliveryToken> delivered;
+    Envelope* next = nullptr;  ///< link in the one list holding the node
+    Mailbox* home = nullptr;   ///< the allocating (sending) rank's mailbox
 };
 
 /// Accounting cost of one queued envelope beyond its payload (header,
@@ -245,75 +281,221 @@ struct Envelope {
 /// backpressure.
 inline constexpr std::size_t kEnvelopeOverhead = 64;
 
-/// Per-process incoming message queue with eager-protocol flow
-/// control: once queued bytes exceed the capacity, senders block --
-/// this is what makes the PPerfMark small-messages clients spend
-/// their time in MPI_Send, as the paper observes (Fig 3).
+/// Per-process incoming message queue with eager-protocol flow control
+/// (DESIGN.md section 8).  The owning rank is its only reader.
 ///
-/// Waiters are split by what they wait for, so wakeups are targeted:
-/// msg_waiter parks the owning rank (at most one context) waiting for
-/// an arrival and is unparked by the sender that fills the queue;
-/// space_waiters holds flow-controlled senders, unparked when the
-/// receiver drains bytes.  Rendezvous senders never wait on the
-/// mailbox at all -- they wait on their envelope's DeliveryToken.
-/// The integer counters mirror the token slots for the watchdog dump.
+/// Senders push envelopes onto a lock-free multi-producer inbox with
+/// one CAS.  The owner takes the whole inbox with one exchange into a
+/// private queue, in arrival order, and matches, probes and erases
+/// there without a lock.
+///
+/// Flow control: bytes_queued counts the queued eager envelopes
+/// (payload plus kEnvelopeOverhead).  A standard-mode eager sender
+/// reserves its bytes before it pushes and parks while they do not
+/// fit -- what makes the PPerfMark small-messages clients spend their
+/// time in MPI_Send, as the paper observes (Fig 3).  Credit returns in
+/// batches: a drain wakes the parked senders only once bytes_queued is
+/// down to half the capacity, and a receiver about to wait for a
+/// message first releases every parked sender (its message may be one
+/// of theirs).  Only this slow path takes a mutex, around the
+/// space-token list.  Rendezvous senders never wait on the mailbox at
+/// all -- they wait on their envelope's DeliveryToken.
+///
+/// Arrival wakeups: msg_waiter holds the owner's token while it is
+/// about to park for a message.  The owner publishes it before its
+/// last inbox check and a sender reads it after its push, both
+/// seq_cst: the store-buffering pattern WaitToken::consume_notify
+/// describes, so either the owner sees the envelope or the sender sees
+/// the waiter.
 struct Mailbox {
-    std::mutex mu;  ///< guards everything below (stats excepted)
-    std::deque<Envelope> queue;
-    std::size_t bytes_queued = 0;
-    int msg_waiters = 0;
-    int space_waiters = 0;
+    Mailbox() = default;
+    Mailbox(const Mailbox&) = delete;
+    Mailbox& operator=(const Mailbox&) = delete;
+    ~Mailbox();
 
-    // Transport accounting for the pvar plane (simmpi.mailbox.*).
-    // Relaxed atomics bumped at the push/drain/park sites while mu is
-    // already held, but readable lock-free by the snapshot aggregator
-    // -- a sampler never touches a mailbox mutex.
-    std::atomic<std::uint64_t> eager_msgs{0};       ///< envelopes queued eagerly
-    std::atomic<std::uint64_t> rendezvous_msgs{0};  ///< envelopes queued with a token
-    std::atomic<std::uint64_t> delivered_msgs{0};   ///< envelopes drained by a receiver
-    std::atomic<std::uint64_t> delivered_bytes{0};  ///< payload bytes drained
-    std::atomic<std::uint64_t> flow_stalls{0};      ///< sender parks for eager headroom
-    std::atomic<std::uint64_t> bytes_queued_hwm{0};  ///< high-water of bytes_queued
-
-    /// Records a just-queued envelope in the stats; caller holds mu
-    /// (bytes_queued already includes the envelope).
-    void note_queued_locked(bool rendezvous) {
-        (rendezvous ? rendezvous_msgs : eager_msgs)
-            .fetch_add(1, std::memory_order_relaxed);
-        if (bytes_queued > bytes_queued_hwm.load(std::memory_order_relaxed))
-            bytes_queued_hwm.store(bytes_queued, std::memory_order_relaxed);
-    }
-    /// Records a drained envelope; caller holds mu.
-    void note_delivered_locked(std::size_t payload_bytes) {
-        delivered_msgs.fetch_add(1, std::memory_order_relaxed);
-        delivered_bytes.fetch_add(payload_bytes, std::memory_order_relaxed);
-    }
-    std::shared_ptr<sched::WaitToken> msg_waiter;
-    std::vector<std::shared_ptr<sched::WaitToken>> space_tokens;
-    std::vector<PayloadBuf> free_bufs;  ///< recycled payload buffers
-
-    static constexpr std::size_t kMaxFreeBufs = 64;
+    /// Headroom wakeups wait until bytes_queued is down to
+    /// capacity / kCreditBatchDivisor.
+    static constexpr std::size_t kCreditBatchDivisor = 2;
+    /// Spares a sender keeps, counted as node plus payload bytes (the
+    /// rest of a handed-back burst is freed); payload buffers larger
+    /// than kMaxRecycledCapacity are never kept.
+    static constexpr std::size_t kMaxSpareBytes = 4 << 20;
     static constexpr std::size_t kMaxRecycledCapacity = 64 * 1024;
 
-    /// Pops a recycled buffer (or grows a fresh one) sized to @p n.
-    /// Caller holds mu.
-    PayloadBuf take_buf_locked(std::size_t n) {
-        PayloadBuf b;
-        if (!free_bufs.empty()) {
-            b = std::move(free_bufs.back());
-            free_bufs.pop_back();
+    // One cache line for what every send and drain touches.  Senders
+    // bump the queued counters before the push and the owner bumps the
+    // delivered ones after the take, so delivered <= queued always; the
+    // counters feed the pvar plane (simmpi.mailbox.*) lock-free.
+
+    /// Envelopes pushed since the owner's last take, newest first.
+    alignas(64) std::atomic<Envelope*> inbox{nullptr};
+    /// Eager bytes queued or reserved (payload + kEnvelopeOverhead).
+    std::atomic<std::size_t> bytes_queued{0};
+    /// The owner's token while it is about to park for an arrival.
+    std::atomic<sched::WaitToken*> msg_waiter{nullptr};
+    std::atomic<std::uint64_t> eager_msgs{0};       ///< envelopes queued eagerly
+    std::atomic<std::uint64_t> rendezvous_msgs{0};  ///< envelopes queued with a token
+    std::atomic<std::uint64_t> bytes_queued_hwm{0};  ///< high-water of bytes_queued
+    std::atomic<std::uint64_t> flow_stalls{0};      ///< sender parks for eager headroom
+    /// Senders parked for headroom (the space-token list's size),
+    /// readable without its mutex.
+    std::atomic<int> space_waiters{0};
+
+    // Written by the owner only.
+    alignas(64) std::atomic<std::uint64_t> delivered_msgs{0};  ///< envelopes drained
+    std::atomic<std::uint64_t> delivered_bytes{0};  ///< payload bytes drained
+
+    // -- Senders ---------------------------------------------------------
+
+    /// Reserves @p cost bytes of eager headroom under @p cap.  A CAS
+    /// that never overshoots: a failed attempt leaves no transient
+    /// excess that could hide a drain's fall to the batch threshold.
+    bool try_reserve(std::size_t cost, std::size_t cap) {
+        std::size_t cur = bytes_queued.load(std::memory_order_seq_cst);
+        do {
+            if (cur + cost > cap) return false;
+        } while (!bytes_queued.compare_exchange_weak(cur, cur + cost,
+                                                     std::memory_order_seq_cst));
+        note_depth(cur + cost);
+        return true;
+    }
+    /// Charges @p cost bytes with no capacity check (forced-eager and
+    /// collective side-channel traffic).
+    void charge(std::size_t cost) {
+        note_depth(bytes_queued.fetch_add(cost, std::memory_order_seq_cst) + cost);
+    }
+    /// Pushes @p e and wakes the owner if it is about to park.
+    void push(Envelope* e) {
+        (e->delivered ? rendezvous_msgs : eager_msgs)
+            .fetch_add(1, std::memory_order_relaxed);
+        Envelope* head = inbox.load(std::memory_order_relaxed);
+        do {
+            e->next = head;
+        } while (!inbox.compare_exchange_weak(head, e, std::memory_order_seq_cst,
+                                              std::memory_order_relaxed));
+        if (msg_waiter.load(std::memory_order_seq_cst) != nullptr)
+            if (sched::WaitToken* w = msg_waiter.exchange(nullptr)) w->unpark();
+    }
+    /// Registers @p tok as parked for headroom.  The caller re-checks
+    /// bytes_queued afterwards: seq_cst against the drain's fetch_sub
+    /// and waiter load, so a drain that re-check misses sees the token.
+    void add_space_waiter(const std::shared_ptr<sched::WaitToken>& tok);
+    void remove_space_waiter(const std::shared_ptr<sched::WaitToken>& tok);
+
+    // -- The owner (receiver) --------------------------------------------
+
+    /// Appends everything pushed since the last take to the private
+    /// queue, in arrival order.  False when nothing was pushed.
+    bool take_inbox() {
+        if (inbox.load(std::memory_order_relaxed) == nullptr) return false;
+        Envelope* e = inbox.exchange(nullptr, std::memory_order_acquire);
+        Envelope* const last = e;
+        Envelope* in_order = nullptr;
+        while (e != nullptr) {
+            Envelope* const n = e->next;
+            e->next = in_order;
+            in_order = e;
+            e = n;
         }
-        b.ensure(n);
-        return b;
+        *queue_tail_ = in_order;
+        queue_tail_ = &last->next;
+        return true;
+    }
+    /// The private queue's first link; a scan walks `&(*link)->next`.
+    Envelope** queue_head() { return &queue_; }
+    /// Unlinks and returns the queued envelope at @p link.
+    Envelope* unlink(Envelope** link) {
+        Envelope* const e = *link;
+        *link = e->next;
+        if (queue_tail_ == &e->next) queue_tail_ = link;
+        e->next = nullptr;
+        return e;
+    }
+    /// Records a drained envelope of @p payload_bytes.
+    void note_delivered(std::size_t payload_bytes) {
+        bump(delivered_msgs, 1);
+        bump(delivered_bytes, payload_bytes);
+    }
+    /// Returns a drained envelope's @p cost bytes of credit, waking the
+    /// parked senders once the queue is down to the batch threshold of
+    /// @p cap.
+    void credit(std::size_t cost, std::size_t cap) {
+        const std::size_t left =
+            bytes_queued.fetch_sub(cost, std::memory_order_seq_cst) - cost;
+        if (left <= cap / kCreditBatchDivisor) release_senders();
+    }
+    /// Wakes every sender parked for headroom (none parked: one load).
+    void release_senders();
+    /// Publishes @p tok as the message waiter, then checks the inbox
+    /// once more: true when it is still empty and the caller may park.
+    /// Either way the caller ends with end_wait().
+    bool prepare_wait(const std::shared_ptr<sched::WaitToken>& tok);
+    void end_wait() { msg_waiter.store(nullptr, std::memory_order_relaxed); }
+
+    // -- Node recycling ----------------------------------------------------
+
+    /// Owner, as a sender: a node whose payload holds @p n bytes -- a
+    /// spare, else one the receivers handed back, else a new one.
+    Envelope* take_node(std::size_t n) {
+        if (spares_ == nullptr && returned_.load(std::memory_order_relaxed) != nullptr)
+            adopt_returned();
+        Envelope* e = spares_;
+        if (e != nullptr) {
+            spares_ = e->next;
+            spare_bytes_ -= sizeof(Envelope) + e->data.capacity();
+            e->next = nullptr;
+        } else {
+            e = new Envelope;
+            e->home = this;
+        }
+        e->data.ensure(n);
+        return e;
+    }
+    /// Receiver: hands drained @p e back to its sender's mailbox.
+    static void give_back(Envelope* e) {
+        if (e->data.capacity() > kMaxRecycledCapacity) e->data = PayloadBuf{};
+        e->delivered.reset();
+        std::atomic<Envelope*>& r = e->home->returned_;
+        Envelope* head = r.load(std::memory_order_relaxed);
+        do {
+            e->next = head;
+        } while (!r.compare_exchange_weak(head, e, std::memory_order_release,
+                                          std::memory_order_relaxed));
     }
 
-    /// Returns a drained buffer to the free list (bounded; oversized
-    /// rendezvous buffers are dropped).  Caller holds mu.
-    void recycle_locked(PayloadBuf&& b) {
-        if (b.capacity() == 0 || b.capacity() > kMaxRecycledCapacity) return;
-        if (free_bufs.size() >= kMaxFreeBufs) return;
-        free_bufs.push_back(std::move(b));
+private:
+    /// Owner-only counter bump: a relaxed load and store, no locked RMW.
+    static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
+        c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
     }
+    void note_depth(std::size_t depth) {
+        std::uint64_t h = bytes_queued_hwm.load(std::memory_order_relaxed);
+        while (depth > h &&
+               !bytes_queued_hwm.compare_exchange_weak(h, depth,
+                                                       std::memory_order_relaxed)) {
+        }
+    }
+    /// Moves the handed-back nodes into the spares, freeing what
+    /// exceeds kMaxSpareBytes.
+    void adopt_returned();
+
+    // Owner only (next to the delivered counters).
+    Envelope* queue_ = nullptr;  ///< taken envelopes, in arrival order
+    Envelope** queue_tail_ = &queue_;
+    Envelope* spares_ = nullptr;
+    std::size_t spare_bytes_ = 0;
+    /// Every token ever published in msg_waiter: a sender that read the
+    /// raw pointer may unpark it after the owner moved on, so it must
+    /// live as long as the mailbox (a thread-engine token would die
+    /// with its thread).
+    std::vector<std::shared_ptr<sched::WaitToken>> waiter_refs_;
+
+    /// Drained nodes receivers handed back to this (sending) mailbox;
+    /// a line of its own, apart from the owner's spares.
+    alignas(64) std::atomic<Envelope*> returned_{nullptr};
+
+    std::mutex space_mu_;  ///< guards space_tokens_ only
+    std::vector<std::shared_ptr<sched::WaitToken>> space_tokens_;
 };
 
 /// One simulated MPI process (a fiber, or an OS thread on the legacy

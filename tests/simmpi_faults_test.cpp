@@ -546,9 +546,10 @@ TEST(Faults, ErrorsAreFatalTerminatesEveryRank) {
 // gauges).  A fatal transport error raised from inside send_body's
 // flow-control loop / recv_body's scan -- both run their doom checks
 // under the destination's mailbox mutex -- therefore self-deadlocked
-// whenever M2P_PVAR_EXPORT was set.  The error paths now drop mb.mu
-// first and the death/poison flush is asynchronous; this test hangs
-// (and is watchdog-aborted) if either regresses.
+// whenever M2P_PVAR_EXPORT was set.  The error paths now run with no
+// mailbox lock held (the eager path has none left) and the
+// death/poison flush is asynchronous; this test hangs (and is
+// watchdog-aborted) if either regresses.
 TEST(Faults, FatalTransportErrorWithExportAttachedDoesNotDeadlock) {
     const std::string path = ::testing::TempDir() + "faults_export." +
                              std::to_string(::getpid()) + ".pvar";

@@ -338,5 +338,166 @@ TEST(Pt2pt, WorksUnderMpichFlavorToo) {
     });
 }
 
+// ---------------------------------------------------------------------------
+// The eager transport's contract, on both rank engines: credit comes
+// back in batches, a receiver never waits on a sender that flow control
+// holds back, and any-source traffic keeps each sender's order.
+// ---------------------------------------------------------------------------
+
+class Pt2ptTransport : public ::testing::TestWithParam<RankEngine> {
+protected:
+    World::Config config(std::size_t capacity) const {
+        World::Config cfg;
+        cfg.rank_engine = GetParam();
+        cfg.mailbox_capacity = capacity;
+        return cfg;
+    }
+};
+
+/// Mailbox capacity holding exactly @p n envelopes of @p payload bytes.
+std::size_t capacity_for(std::size_t n, std::size_t payload) {
+    return n * (payload + kEnvelopeOverhead);
+}
+
+/// Spins (never parks) for about @p us microseconds.
+void spin_us(int us) {
+    const auto end = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+    while (std::chrono::steady_clock::now() < end) {
+    }
+}
+
+TEST_P(Pt2ptTransport, FlowControlReturnsCreditInBatches) {
+    // One sender floods a mailbox that holds 64 envelopes while the
+    // receiver drains slowly.  Woken only once the queue is down to
+    // half, the sender parks about once per 32 messages; woken on every
+    // drain, it would park about once per message.
+    constexpr int kMessages = 4000;
+    constexpr std::size_t kPayload = 64;
+    Fixture fx(Flavor::Lam, config(capacity_for(64, kPayload)));
+    std::atomic<int> received{0};
+    fx.run(2, [&](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        std::int32_t msg[kPayload / 4] = {};
+        for (int i = 0; i < kMessages; ++i) {
+            if (me == 0) {
+                msg[0] = i;
+                ASSERT_EQ(r.MPI_Send(msg, kPayload / 4, MPI_INT, 1, 0, w), MPI_SUCCESS);
+            } else {
+                ASSERT_EQ(r.MPI_Recv(msg, kPayload / 4, MPI_INT, 0, 0, w, nullptr),
+                          MPI_SUCCESS);
+                ASSERT_EQ(msg[0], i);
+                spin_us(2);
+                ++received;
+            }
+        }
+        r.MPI_Finalize();
+    });
+    EXPECT_EQ(received.load(), kMessages);
+    const World::MailboxStats ms = fx.world.mailbox_stats();
+    EXPECT_EQ(ms.eager_msgs, static_cast<std::uint64_t>(kMessages));
+    EXPECT_GT(ms.flow_stalls, 0u) << "the sender never filled the mailbox";
+    EXPECT_LT(ms.flow_stalls, static_cast<std::uint64_t>(kMessages / 16));
+    EXPECT_EQ(ms.bytes_queued, 0u);
+}
+
+TEST_P(Pt2ptTransport, ReceiverWaitingOnAParkedSenderMakesProgress) {
+    // B fills R's mailbox and A parks on flow control.  R drains a few
+    // of B's messages, staying above half the capacity, then receives
+    // A's: it must release A instead of waiting out A's deadline (the
+    // default 30 s).
+    constexpr int kR = 0, kA = 1, kB = 2;
+    constexpr int kFill = 16;
+    constexpr int kDrainFirst = 3;  // 13 of 16 left: above half
+    Fixture fx(Flavor::Lam, config(capacity_for(kFill, sizeof(int))));
+    double waited_s = -1.0;
+    fx.run(3, [&](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        const auto parked_senders = [&] {
+            return r.world().mailbox_stats().flow_stalls;
+        };
+        int v = 0;
+        if (me == kB) {
+            for (int i = 0; i < kFill; ++i)
+                ASSERT_EQ(r.MPI_Send(&i, 1, MPI_INT, kR, 1, w), MPI_SUCCESS);
+            EXPECT_EQ(parked_senders(), 0u) << "B alone must fit";
+            ASSERT_EQ(r.MPI_Send(&v, 0, MPI_INT, kA, 9, w), MPI_SUCCESS);  // go
+        } else if (me == kA) {
+            ASSERT_EQ(r.MPI_Recv(&v, 0, MPI_INT, kB, 9, w, nullptr), MPI_SUCCESS);
+            v = 77;
+            ASSERT_EQ(r.MPI_Send(&v, 1, MPI_INT, kR, 2, w), MPI_SUCCESS);
+        } else {
+            while (parked_senders() == 0) sched::sleep_for(std::chrono::milliseconds(1));
+            for (int i = 0; i < kDrainFirst; ++i) {
+                ASSERT_EQ(r.MPI_Recv(&v, 1, MPI_INT, kB, 1, w, nullptr), MPI_SUCCESS);
+                EXPECT_EQ(v, i);
+            }
+            const double t0 = util::wall_seconds();
+            ASSERT_EQ(r.MPI_Recv(&v, 1, MPI_INT, kA, 2, w, nullptr), MPI_SUCCESS);
+            waited_s = util::wall_seconds() - t0;
+            EXPECT_EQ(v, 77);
+            for (int i = kDrainFirst; i < kFill; ++i) {
+                ASSERT_EQ(r.MPI_Recv(&v, 1, MPI_INT, kB, 1, w, nullptr), MPI_SUCCESS);
+                EXPECT_EQ(v, i);
+            }
+        }
+        r.MPI_Finalize();
+    });
+    EXPECT_GE(waited_s, 0.0);
+    EXPECT_LT(waited_s, 1.0) << "R waited on A's flow-control deadline";
+}
+
+TEST_P(Pt2ptTransport, AnySourceIncastKeepsEachSendersOrder) {
+    // Seven senders stream sequence numbers through flow control to one
+    // MPI_ANY_SOURCE receiver.  MPI's non-overtaking rule: each
+    // sender's messages arrive in the order it sent them.
+    constexpr int kRanks = 8;
+    constexpr int kPerSender = 1500;
+    Fixture fx(Flavor::Lam, config(capacity_for(32, 2 * sizeof(int))));
+    std::vector<int> got(kRanks, 0);
+    fx.run(kRanks, [&](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        int msg[2] = {me, 0};
+        if (me != 0) {
+            for (int i = 0; i < kPerSender; ++i) {
+                msg[1] = i;
+                ASSERT_EQ(r.MPI_Send(msg, 2, MPI_INT, 0, 5, w), MPI_SUCCESS);
+            }
+        } else {
+            std::vector<int> next(kRanks, 0);
+            for (int i = 0; i < (kRanks - 1) * kPerSender; ++i) {
+                Status st;
+                ASSERT_EQ(r.MPI_Recv(msg, 2, MPI_INT, MPI_ANY_SOURCE, 5, w, &st),
+                          MPI_SUCCESS);
+                ASSERT_EQ(msg[0], st.MPI_SOURCE);
+                ASSERT_EQ(msg[1], next[static_cast<std::size_t>(msg[0])])
+                    << "sender " << msg[0] << " overtaken";
+                ++next[static_cast<std::size_t>(msg[0])];
+            }
+            got = next;
+        }
+        r.MPI_Finalize();
+    });
+    for (int s = 1; s < kRanks; ++s) EXPECT_EQ(got[static_cast<std::size_t>(s)], kPerSender);
+    const World::MailboxStats ms = fx.world.mailbox_stats();
+    EXPECT_EQ(ms.delivered_msgs, static_cast<std::uint64_t>((kRanks - 1) * kPerSender));
+    EXPECT_GT(ms.flow_stalls, 0u) << "the incast never hit flow control";
+    EXPECT_EQ(ms.bytes_queued, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, Pt2ptTransport,
+                         ::testing::Values(RankEngine::Fiber, RankEngine::Thread),
+                         [](const ::testing::TestParamInfo<RankEngine>& i) {
+                             return i.param == RankEngine::Fiber ? "Fiber" : "Thread";
+                         });
+
 }  // namespace
 }  // namespace m2p::simmpi
