@@ -102,9 +102,10 @@ int main() {
             // system-time case, where matching means all-false).
             const bool matches = e.grade(run.report);
             cells[i++] = matches ? (e.paper_pass ? "Pass" : "Fail*") : "MISMATCH";
-            g.check(std::string(e.program) + " [" + simmpi::flavor_name(flavor) +
-                        "] matches paper verdict",
-                    matches);
+            const std::string session =
+                std::string(e.program) + " [" + simmpi::flavor_name(flavor) + "]";
+            g.check(session + " matches paper verdict", matches);
+            g.deadlines(session, run.deadline_expiries);
             if (!matches)
                 std::printf("--- findings for %s (%s):\n%s\n", e.program,
                             simmpi::flavor_name(flavor), run.condensed.c_str());
@@ -129,6 +130,8 @@ int main() {
                 mpich.report.found("ExcessiveIOBlockingTime", ""));
         g.check("LAM small-messages shows no ExcessiveIOBlockingTime",
                 !lam.report.found("ExcessiveIOBlockingTime", ""));
+        g.deadlines("small-messages [LAM/MPI] (IO check)", lam.deadline_expiries);
+        g.deadlines("small-messages [MPICH] (IO check)", mpich.deadline_expiries);
     }
 
     std::printf("\nTable 2 reproduction: %d failures\n", g.failures());

@@ -26,6 +26,7 @@ int main() {
         table.add_row({ppm::kAllcount, "Pass", pass ? "Pass" : "FAIL",
                        "counted RMA operations and bytes transferred"});
         g.check("allcount counts exact", pass);
+        g.deadlines("allcount", bench::deadline_expiries(s.world()));
         s.tool().metrics().release(ops);
         s.tool().metrics().release(bytes);
     }
@@ -41,6 +42,7 @@ int main() {
         table.add_row({ppm::kWincreateBlast, "Pass", pass ? "Pass" : "FAIL",
                        "detected and incorporated all windows (N-M ids)"});
         g.check("wincreate-blast discovers all windows", pass);
+        g.deadlines("wincreate-blast", bench::deadline_expiries(s.world()));
     }
 
     // --- winfence-sync: late rank 0, others wait in fence -----------------
@@ -59,6 +61,8 @@ int main() {
         g.check(std::string("winfence-sync graded (") + simmpi::flavor_name(flavor) +
                     ")",
                 sync && cpu);
+        g.deadlines(std::string("winfence-sync (") + simmpi::flavor_name(flavor) + ")",
+                    run.deadline_expiries);
         if (!(sync && cpu)) std::printf("%s\n", run.condensed.c_str());
     }
 
@@ -86,6 +90,8 @@ int main() {
         g.check(std::string("winscpw-sync graded (") + simmpi::flavor_name(flavor) +
                     ")",
                 at_sync && window && cpu);
+        g.deadlines(std::string("winscpw-sync (") + simmpi::flavor_name(flavor) + ")",
+                    run.deadline_expiries);
         if (!(at_sync && window && cpu)) std::printf("%s\n", run.condensed.c_str());
     }
 
@@ -103,6 +109,7 @@ int main() {
                        "(deferred)", pass ? "Pass" : "FAIL",
                        "passive-target waiting in MPI_Win_lock (paper future work)"});
         g.check("winlock-sync passive target graded", pass);
+        g.deadlines("winlock-sync", bench::deadline_expiries(s.world()));
         s.tool().metrics().release(pt);
     }
 
@@ -117,6 +124,7 @@ int main() {
         table.add_row({ppm::kSpawnCount, "Pass", pass ? "Pass" : "FAIL",
                        "detected and incorporated all new processes"});
         g.check("spawn-count discovers all children", pass);
+        g.deadlines("spawn-count", bench::deadline_expiries(s.world()));
     }
 
     // --- spawnsync -----------------------------------------------------------
@@ -129,6 +137,7 @@ int main() {
         table.add_row({ppm::kSpawnSync, "Pass", pass ? "Pass" : "FAIL",
                        "children too long in MPI_Recv; parent CPU bound"});
         g.check("spawn-sync graded", pass);
+        g.deadlines("spawn-sync", run.deadline_expiries);
         if (!pass) std::printf("%s\n", run.condensed.c_str());
     }
 
@@ -142,6 +151,7 @@ int main() {
         table.add_row({ppm::kSpawnwinSync, "Pass", pass ? "Pass" : "FAIL",
                        "children waiting in MPI_Win_fence; parent CPU bound"});
         g.check("spawnwin-sync graded", pass);
+        g.deadlines("spawnwin-sync", run.deadline_expiries);
         if (!pass) std::printf("%s\n", run.condensed.c_str());
     }
 

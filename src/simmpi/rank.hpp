@@ -293,8 +293,9 @@ private:
     void check_poisoned() const;
     /// Deadline for liveness-checked waits (Config::wait_deadline_seconds
     /// from the wait's first park): the backstop for wedges no death
-    /// explains, e.g. a cycle caused by a dropped message.
-    WaitDeadline wait_deadline() const;
+    /// explains, e.g. a cycle caused by a dropped message.  @p site
+    /// names the wait when it runs out (a string literal).
+    WaitDeadline wait_deadline(const char* site) const;
 
     enum class SendMode {
         Standard,     ///< eager below the limit, rendezvous above

@@ -28,7 +28,7 @@ int Rank::ft_rendezvous(Comm c, CommData& cd, FtRendezvous& rv,
                         std::array<int, 2> vote, bool excuse_dead,
                         void (Rank::*close_round)(CommData&, FtRendezvous&),
                         int* out_flag, Comm* out_comm) {
-    WaitDeadline deadline = wait_deadline();
+    WaitDeadline deadline = wait_deadline("ft_rendezvous");
     std::unique_lock lk(rv.mu);
     const std::uint64_t gen = rv.gen;
     rv.arrived.push_back(global_);

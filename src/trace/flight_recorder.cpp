@@ -66,6 +66,7 @@ const char* kind_name(EventKind k) {
         case EventKind::Revoke: return "Revoke";
         case EventKind::Shrink: return "Shrink";
         case EventKind::Agree: return "Agree";
+        case EventKind::DeadlineExpired: return "DeadlineExpired";
     }
     return "?";
 }

@@ -52,6 +52,7 @@ enum class EventKind : std::uint32_t {
     Revoke,               ///< MPI_Comm_revoke; a=comm, b=death epoch at revoke
     Shrink,               ///< MPI_Comm_shrink closed; a=old comm, b=new comm, c=survivors
     Agree,                ///< MPI_Comm_agree closed; a=comm, b=flag, c=result code
+    DeadlineExpired,      ///< a wait gave up at its deadline; name=wait site, a=deadline ms
 };
 
 const char* kind_name(EventKind k);
