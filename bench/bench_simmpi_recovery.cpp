@@ -51,7 +51,6 @@ RecoveryRun run_cycle(int nranks) {
     RecoveryRun out;
     instr::Registry reg;
     simmpi::World::Config cfg;
-    cfg.rank_engine = simmpi::RankEngine::Fiber;
     cfg.wait_deadline_seconds = 30.0;
     cfg.join_deadline_seconds = 300.0;
     simmpi::World world(reg, cfg);

@@ -144,15 +144,12 @@ CollResult collective_run(bool allreduce, int nranks, long iters) {
         r.MPI_Comm_rank(w, &me);
         std::vector<std::byte> buf(1024, std::byte{1});
         std::vector<double> acc(64, me * 1.0), out(64, 0.0);
-        // Per-rank CPU through the world's accounting: on the fiber
-        // engine CLOCK_THREAD_CPUTIME_ID belongs to the shared worker
-        // (it would charge every rank with the whole run), while
-        // proc_cpu_seconds() is the rank's own accumulated slices
-        // plus the live slice.
-        const auto rank_cpu = [&] {
-            return world.proc_cpu_seconds(me) +
-                   static_cast<double>(simmpi::sched::current_slice_cpu_ns()) * 1e-9;
-        };
+        // Per-rank CPU through the world's accounting:
+        // CLOCK_THREAD_CPUTIME_ID belongs to the shared worker (it
+        // would charge every rank with the whole run), while
+        // proc_cpu_seconds() is the rank's own slices, the live one
+        // included.
+        const auto rank_cpu = [&] { return world.proc_cpu_seconds(me); };
         r.MPI_Barrier(w);
         if (me == 0) t0 = wall_seconds();
         const double c0 = rank_cpu();

@@ -16,13 +16,10 @@ int main() {
     using namespace m2p;
 
     instr::Registry registry;
-    // Measurement sessions use the preemptive thread engine: the
-    // PPerfMark bottleneck scenarios (and the sync-wait metric they
-    // feed) rely on ranks progressing concurrently, which cooperative
-    // fibers do not guarantee.  core::Session picks this default via
-    // tool_world_config(); a raw World must opt in.
-    simmpi::World world(registry, {.flavor = simmpi::Flavor::Lam,
-                                   .rank_engine = simmpi::RankEngine::Thread});
+    // Attaching the tool gives every rank a scheduler worker of its
+    // own, so ranks progress concurrently, as the PPerfMark bottleneck
+    // scenarios (and the sync-wait metric they feed) need.
+    simmpi::World world(registry, {.flavor = simmpi::Flavor::Lam});
     core::PerfTool tool(world);
 
     // Use a PPerfMark program as the "application": clients flood one

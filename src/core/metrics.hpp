@@ -10,8 +10,8 @@
 //  * a native rank gate for the Machine/Process axes, and
 //  * MDL-compiled instrumentation feeding a folding Histogram --
 // or, for the whole-program "cpu" metric, a sampled native source
-// (per-process CPU clocks read by a sampler thread, as Paradyn's
-// daemon samples process timers).
+// (per-process user CPU read by a sampler thread, as Paradyn's daemon
+// samples process timers).
 #pragma once
 
 #include <map>
@@ -59,9 +59,8 @@ private:
     std::shared_ptr<Histogram> hist_;
     bool native_cpu_ = false;
     mdl::CompiledMetric compiled_;
-    // Native-cpu sampling state: the CPU reading per rank charged up
-    // to (a rank whose user share is not known yet keeps its reading,
-    // so its CPU is charged once the share arrives).
+    // Native-cpu sampling state: the highest user-CPU reading per rank
+    // charged so far.
     std::map<int, double> cpu_last_;
 };
 
@@ -86,18 +85,6 @@ public:
 
 private:
     void sampler_loop();
-    /// The share of @p rank's CPU that counts as user time
-    /// (World::proc_user_share, re-read at most every 20 ms), or
-    /// negative while unknown.  The native CPU metric charges each CPU
-    /// clock advance at it: Paradyn's default metrics see only user
-    /// time, which is why PPerfMark's system-time program fails (paper
-    /// Table 2).  Sampler thread only.
-    double user_share(int rank);
-
-    struct UserShare {
-        double share = -1.0;      ///< latest user share; negative: none yet
-        double read_at = -1e9;    ///< wall_seconds() of the last read
-    };
 
     PerfTool& tool_;
     double bin_width_;
@@ -105,7 +92,6 @@ private:
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<MetricFocusPair>> active_;
     bool stop_ = false;
-    std::map<int, UserShare> user_shares_;  ///< sampler thread only
     std::thread sampler_;
 };
 

@@ -76,6 +76,7 @@ PerfTool::PerfTool(simmpi::World& world, Options opts)  // NOLINT
         world_.set_profiling_layer(this);
     world_.set_death_observer(
         [this](const simmpi::Epitaph& e) { on_rank_death(e); });
+    world_.attach_tool();
 }
 
 PerfTool::~PerfTool() {

@@ -5,8 +5,7 @@
 /// scheduler (sched.hpp) multiplexes many fibers over a small pool of
 /// OS worker threads: a rank that would have blocked its own thread
 /// instead parks its fiber and the worker picks up the next runnable
-/// one.  This is what lets simmpi run 256-1024 ranks in one process
-/// where thread-per-rank topped out around 16.
+/// one.  This is what lets simmpi run 256-1024 ranks in one process.
 ///
 /// The context switch itself is a hand-rolled fcontext-style swap on
 /// x86-64 (callee-saved registers + mxcsr/x87 control word pushed to
@@ -31,6 +30,7 @@
 
 namespace m2p::simmpi::sched {
 
+class CpuAccount;
 class Scheduler;
 class WaitToken;
 struct Worker;
@@ -73,10 +73,8 @@ public:
 
     Scheduler* scheduler() const { return sched_; }
 
-    /// Optional sink that receives this fiber's CPU-time slices
-    /// (nanoseconds), accumulated at every switch-out.
-    void set_cpu_sink(std::atomic<std::int64_t>* sink) { cpu_sink_ = sink; }
-    std::atomic<std::int64_t>* cpu_sink() const { return cpu_sink_; }
+    /// The account charged this fiber's slices, or null.
+    CpuAccount* cpu_account() const { return cpu_; }
 
     /// slice_clock_ns() stamp taken at the current slice's switch-in;
     /// valid only while the fiber is running.
@@ -120,7 +118,7 @@ private:
     // currently runs the fiber).
     std::uint32_t dispatch_count_ = 0;  ///< maybe_yield() stride counter
     std::int64_t slice_cpu_start_ = 0;
-    std::atomic<std::int64_t>* cpu_sink_ = nullptr;
+    CpuAccount* cpu_ = nullptr;
     instr::ThreadContext ictx_{};  ///< instr TLS migrated with the fiber
 };
 

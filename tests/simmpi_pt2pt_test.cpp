@@ -339,20 +339,17 @@ TEST(Pt2pt, WorksUnderMpichFlavorToo) {
 }
 
 // ---------------------------------------------------------------------------
-// The eager transport's contract, on both rank engines: credit comes
-// back in batches, a receiver never waits on a sender that flow control
-// holds back, and any-source traffic keeps each sender's order.
+// The eager transport's contract: credit comes back in batches, a
+// receiver never waits on a sender that flow control holds back, and
+// any-source traffic keeps each sender's order.
 // ---------------------------------------------------------------------------
 
-class Pt2ptTransport : public ::testing::TestWithParam<RankEngine> {
-protected:
-    World::Config config(std::size_t capacity) const {
-        World::Config cfg;
-        cfg.rank_engine = GetParam();
-        cfg.mailbox_capacity = capacity;
-        return cfg;
-    }
-};
+/// A world whose mailboxes hold @p capacity eager bytes.
+World::Config config(std::size_t capacity) {
+    World::Config cfg;
+    cfg.mailbox_capacity = capacity;
+    return cfg;
+}
 
 /// Mailbox capacity holding exactly @p n envelopes of @p payload bytes.
 std::size_t capacity_for(std::size_t n, std::size_t payload) {
@@ -366,7 +363,7 @@ void spin_us(int us) {
     }
 }
 
-TEST_P(Pt2ptTransport, FlowControlReturnsCreditInBatches) {
+TEST(Pt2ptTransport, FlowControlReturnsCreditInBatches) {
     // One sender floods a mailbox that holds 64 envelopes while the
     // receiver drains slowly.  Woken only once the queue is down to
     // half, the sender parks about once per 32 messages; woken on every
@@ -403,7 +400,7 @@ TEST_P(Pt2ptTransport, FlowControlReturnsCreditInBatches) {
     EXPECT_EQ(ms.bytes_queued, 0u);
 }
 
-TEST_P(Pt2ptTransport, ReceiverWaitingOnAParkedSenderMakesProgress) {
+TEST(Pt2ptTransport, ReceiverWaitingOnAParkedSenderMakesProgress) {
     // B fills R's mailbox and A parks on flow control.  R drains a few
     // of B's messages, staying above half the capacity, then receives
     // A's: it must release A instead of waiting out A's deadline (the
@@ -452,7 +449,7 @@ TEST_P(Pt2ptTransport, ReceiverWaitingOnAParkedSenderMakesProgress) {
     EXPECT_LT(waited_s, 1.0) << "R waited on A's flow-control deadline";
 }
 
-TEST_P(Pt2ptTransport, AnySourceIncastKeepsEachSendersOrder) {
+TEST(Pt2ptTransport, AnySourceIncastKeepsEachSendersOrder) {
     // Seven senders stream sequence numbers through flow control to one
     // MPI_ANY_SOURCE receiver.  MPI's non-overtaking rule: each
     // sender's messages arrive in the order it sent them.
@@ -492,12 +489,6 @@ TEST_P(Pt2ptTransport, AnySourceIncastKeepsEachSendersOrder) {
     EXPECT_GT(ms.flow_stalls, 0u) << "the incast never hit flow control";
     EXPECT_EQ(ms.bytes_queued, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, Pt2ptTransport,
-                         ::testing::Values(RankEngine::Fiber, RankEngine::Thread),
-                         [](const ::testing::TestParamInfo<RankEngine>& i) {
-                             return i.param == RankEngine::Fiber ? "Fiber" : "Thread";
-                         });
 
 }  // namespace
 }  // namespace m2p::simmpi

@@ -492,8 +492,7 @@ TEST(Recovery, FailureAckSnapshotsDeadMembers) {
 
 TEST(Recovery, ConsultantSessionRecoversAt256Ranks) {
     constexpr int kRanks = 256, kVictim = 5;
-    simmpi::World::Config wcfg;  // fiber ranks: 256 threads would not fly
-    wcfg.rank_engine = simmpi::RankEngine::Fiber;
+    simmpi::World::Config wcfg;
     wcfg.wait_deadline_seconds = 2.0;
     wcfg.join_deadline_seconds = 120.0;
     wcfg.faults = std::make_shared<FaultPlan>();
