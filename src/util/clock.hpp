@@ -8,6 +8,8 @@
 // the tool's metrics and demonstrate the gap.
 #pragma once
 
+#include <time.h>
+
 #include <cstdint>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -48,14 +50,18 @@ void set_rank_cpu_provider(double (*provider)());
 /// Used only by the system-time PPerfMark program's ground truth.
 double process_system_seconds();
 
-/// The share of thread @p os_tid's (of this process) CPU time so far
-/// that the kernel counted as user time, from its own utime/stime.
-/// The kernel splits a thread's exact runtime by where its clock ticks
-/// landed and reports both parts in 10 ms units, so the share is
-/// unknown -- negative -- until the thread has run for a tick or two,
-/// and also when the thread is gone.  Costs an open and a read of a
-/// /proc file (about 10 us).
-double thread_user_share(int os_tid);
+/// CPU time of a thread of this process, read through its CPU clock
+/// (@p thread_clock, from pthread_getcpuclockid) from any thread: the
+/// exact runtime and, when @p with_user, the user part of it split as
+/// the kernel splits a thread's runtime for getrusage(RUSAGE_THREAD) --
+/// in proportion to the clock ticks that landed in user mode.  One clock
+/// read (about 250 ns), three with the split.  user_ns stays negative
+/// without the split and until a tick has landed.
+struct ThreadCpu {
+    std::int64_t total_ns = 0;
+    std::int64_t user_ns = -1;
+};
+ThreadCpu thread_cpu(clockid_t thread_clock, bool with_user);
 
 /// CPUs this process may run on: the size of its sched_getaffinity
 /// mask (at least 1; hardware_concurrency if the mask cannot be read).
