@@ -21,13 +21,13 @@
 
 namespace m2p::simmpi {
 
-template <class T, std::int32_t Base = 1>
+template <class T, std::int32_t Base = 1, std::size_t ChunkShift = 6>
 class HandleTable {
 public:
-    static constexpr std::size_t kChunkShift = 6;
+    static constexpr std::size_t kChunkShift = ChunkShift;
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
     static constexpr std::size_t kChunkMask = kChunkSize - 1;
-    static constexpr std::size_t kMaxChunks = 4096;  ///< 256Ki slots
+    static constexpr std::size_t kMaxChunks = 4096;  ///< 256Ki slots at shift 6
 
     HandleTable() = default;
     ~HandleTable() {
