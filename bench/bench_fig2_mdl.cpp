@@ -5,6 +5,8 @@
 // workload exactly as the built-in copies do.
 #include "bench_common.hpp"
 
+#include <atomic>
+
 #include "mdl/ast.hpp"
 #include "mdl/default_metrics.hpp"
 
@@ -118,16 +120,17 @@ int main() {
     auto resolver = [&](const std::string& set) {
         return s.tool().resolve_funcset(set);
     };
-    double put_ops = 0, put_bytes = 0, sync_wait = 0;
+    // The sinks run on every rank's worker at once.
+    std::atomic<double> put_ops{0}, put_bytes{0}, sync_wait{0};
     auto cm_ops = mdl::compile_metric(
         s.registry(), *fig2.find_metric("rma_put_ops"), {}, s.tool().services(),
-        resolver, [&](double, double d) { put_ops += d; });
+        resolver, [&](double, double d) { put_ops.fetch_add(d); });
     auto cm_bytes = mdl::compile_metric(
         s.registry(), *fig2.find_metric("rma_put_bytes"), {}, s.tool().services(),
-        resolver, [&](double, double d) { put_bytes += d; });
+        resolver, [&](double, double d) { put_bytes.fetch_add(d); });
     auto cm_wait = mdl::compile_metric(
         s.registry(), *fig2.find_metric("rma_sync_wait"), {}, s.tool().services(),
-        resolver, [&](double, double d) { sync_wait += d; });
+        resolver, [&](double, double d) { sync_wait.fetch_add(d); });
 
     s.run(ppm::kAllcount, 3);
     const ppm::RmaTruth t = ppm::allcount_truth(p, 3);
