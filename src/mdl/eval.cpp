@@ -1,5 +1,6 @@
 #include "mdl/eval.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -497,6 +498,14 @@ CompiledMetric compile_metric(instr::Registry& reg, const MetricDef& metric,
     CompiledMetric cm;
     cm.instance = std::make_shared<MetricInstance>(lower.finish(), std::move(sink),
                                                    std::move(gate), std::move(services));
+    // Return sites go in before entry sites.  Ranks keep calling while
+    // the snippets go in one by one, and a call that fires an entry
+    // snippet must find its return snippet in place: otherwise its
+    // start (timer nest, constraint flag) is never undone and the
+    // pair's timer stays nested for the pair's whole life, reading 0.
+    std::stable_partition(sites.begin(), sites.end(), [](const Site& s) {
+        return s.where == instr::Where::Return;
+    });
     for (const Site& s : sites) {
         const Point* p = &cm.instance->point(s.point);
         for (instr::FuncId f : s.funcs)
@@ -511,7 +520,8 @@ CompiledMetric compile_metric(instr::Registry& reg, const MetricDef& metric,
 }
 
 void uninstall(instr::Registry& reg, CompiledMetric& cm) {
-    for (const auto& h : cm.handles) reg.remove(h);
+    // Entry snippets first, the mirror of compile_metric's order.
+    for (auto h = cm.handles.rbegin(); h != cm.handles.rend(); ++h) reg.remove(*h);
     cm.handles.clear();
 }
 

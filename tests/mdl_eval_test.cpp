@@ -112,6 +112,50 @@ metric t { name "t"; unitstype normalized; base is walltimer {
     uninstall(fx.reg, cm);
 }
 
+TEST(MdlEval, TimerInstalledWhileItsFunctionRunsHotStillReports) {
+    // A pair goes in while another thread calls the timed function in a
+    // tight loop.  A call that fires the new entry snippet must find the
+    // return snippet already in place: otherwise the timer stays nested
+    // for the pair's whole life and every later call reports nothing.
+    // The timed set is wide, as mpi_sync_calls is, so fa's entry and
+    // return insertions lie many insertions apart.
+    EvalFixture fx;
+    std::vector<instr::FuncId> wide = {fx.fa};
+    for (int i = 0; i < 63; ++i)
+        wide.push_back(fx.reg.register_function("w" + std::to_string(i), "m", 0));
+    const FuncSetResolver resolver = [&](const std::string&) { return wide; };
+    fx.file = parse(R"(
+metric t { name "t"; base is walltimer {
+  foreach func in set_wide {
+    append preinsn func.entry (* startWallTimer(t); *)
+    prepend preinsn func.return (* stopWallTimer(t); *) } } }
+)");
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> calls{0};
+    std::thread caller([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            { instr::FunctionGuard g(fx.reg, fx.fa); }
+            calls.fetch_add(1, std::memory_order_release);
+        }
+    });
+    int silent = 0;
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        auto reports = std::make_shared<std::atomic<int>>(0);
+        CompiledMetric cm = compile_metric(
+            fx.reg, fx.file.metrics[0], {}, fx.services, resolver,
+            [reports](double, double) { reports->fetch_add(1); });
+        // The second call counted from here began after every snippet
+        // was in place, so it must report.
+        const std::uint64_t c0 = calls.load(std::memory_order_acquire);
+        while (calls.load(std::memory_order_acquire) < c0 + 2) std::this_thread::yield();
+        uninstall(fx.reg, cm);
+        if (reports->load() == 0) ++silent;
+    }
+    stop.store(true);
+    caller.join();
+    EXPECT_EQ(silent, 0) << "pairs whose timer never reported, of 200";
+}
+
 TEST(MdlEval, NestedTimerAccruesOnce) {
     // fa calls fb; both are in the timed set: the timer must not
     // double count (Paradyn timers nest).
